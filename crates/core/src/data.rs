@@ -104,7 +104,8 @@ pub mod kinds {
 
     /// Raw sensor bytes rendered as text (e.g. NMEA lines off the wire).
     pub const RAW_STRING: DataKind = DataKind::from_static("raw.string");
-    /// A parsed NMEA sentence (payload is the sentence encoded as a map).
+    /// A parsed NMEA sentence (payload is a tagged [`super::Value::List`];
+    /// the slot table is in `perpos_sensors::codec`).
     pub const NMEA_SENTENCE: DataKind = DataKind::from_static("nmea.sentence");
     /// A WGS-84 position ([`super::Value::Position`] payload).
     pub const POSITION_WGS84: DataKind = DataKind::from_static("position.wgs84");
@@ -271,6 +272,10 @@ impl From<BTreeMap<String, Value>> for Value {
     }
 }
 
+/// How many elements of a [`Value::List`] its `Display` prints before
+/// eliding the rest.
+const DISPLAY_LIST_ITEMS: usize = 16;
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -280,7 +285,21 @@ impl fmt::Display for Value {
             Value::Float(x) => write!(f, "{x}"),
             Value::Text(s) => write!(f, "{s:?}"),
             Value::Bytes(b) => write!(f, "<{} bytes>", b.len()),
-            Value::List(l) => write!(f, "[{} items]", l.len()),
+            Value::List(l) => {
+                // Inline, so structured payloads (NMEA sentences) stay
+                // readable in rendered data trees; bounded per level.
+                f.write_str("[")?;
+                for (i, v) in l.iter().take(DISPLAY_LIST_ITEMS).enumerate() {
+                    if i > 0 {
+                        f.write_str(", ")?;
+                    }
+                    write!(f, "{v}")?;
+                }
+                if l.len() > DISPLAY_LIST_ITEMS {
+                    write!(f, ", … +{}", l.len() - DISPLAY_LIST_ITEMS)?;
+                }
+                f.write_str("]")
+            }
             Value::Map(m) => write!(f, "{{{} entries}}", m.len()),
             Value::Position(p) => write!(f, "{p}"),
         }
@@ -1085,6 +1104,22 @@ mod tests {
         assert_eq!(kinds::POSITION_WGS84, DataKind::new("position.wgs84"));
         assert_ne!(kinds::POSITION_WGS84, kinds::POSITION_ROOM);
         assert_eq!(kinds::RAW_STRING.to_string(), "raw.string");
+    }
+
+    #[test]
+    fn lists_display_inline_and_bounded() {
+        let nested = Value::List(vec![
+            Value::from("GSV"),
+            Value::Null,
+            Value::List(vec![Value::Int(1), Value::Float(0.5)]),
+        ]);
+        assert_eq!(nested.to_string(), r#"["GSV", null, [1, 0.5]]"#);
+        assert_eq!(Value::List(Vec::new()).to_string(), "[]");
+        let long = Value::List((0..20).map(Value::Int).collect());
+        assert_eq!(
+            long.to_string(),
+            "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, … +4]"
+        );
     }
 
     #[test]

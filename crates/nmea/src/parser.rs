@@ -110,7 +110,7 @@ fn parse_time(text: &str) -> Result<NmeaTime, NmeaError> {
         return Err(bad());
     }
     let millis = if let Some(frac) = text.get(6..).filter(|f| f.starts_with('.')) {
-        let frac_val: f64 = frac.parse().map_err(|_| bad())?;
+        let frac_val = parse_finite(frac).ok_or_else(bad)?;
         (frac_val * 1000.0).round() as u16
     } else {
         0
@@ -132,8 +132,8 @@ fn parse_coord(value: &str, hemi: &str, field: &'static str) -> Result<Option<f6
         return Err(bad());
     }
     let deg_digits = dot - 2;
-    let degrees: f64 = value[..deg_digits].parse().map_err(|_| bad())?;
-    let minutes: f64 = value[deg_digits..].parse().map_err(|_| bad())?;
+    let degrees = parse_finite(&value[..deg_digits]).ok_or_else(bad)?;
+    let minutes = parse_finite(&value[deg_digits..]).ok_or_else(bad)?;
     if minutes >= 60.0 {
         return Err(bad());
     }
@@ -146,11 +146,18 @@ fn parse_coord(value: &str, hemi: &str, field: &'static str) -> Result<Option<f6
     Ok(Some(signed))
 }
 
+/// Parses a decimal number, rejecting what `str::parse::<f64>` accepts
+/// but no NMEA field can carry: `NaN`, `inf`, `infinity` and overflows
+/// such as `1e400` that round to infinity.
+fn parse_finite(text: &str) -> Option<f64> {
+    text.parse::<f64>().ok().filter(|v| v.is_finite())
+}
+
 fn parse_f64_or(text: &str, default: f64, field: &'static str) -> Result<f64, NmeaError> {
     if text.is_empty() {
         return Ok(default);
     }
-    text.parse().map_err(|_| NmeaError::InvalidField {
+    parse_finite(text).ok_or_else(|| NmeaError::InvalidField {
         field,
         value: text.to_string(),
     })
@@ -425,6 +432,48 @@ mod tests {
     fn trailing_newline_is_tolerated() {
         let line = format!("{GGA}\r\n");
         assert!(parse_sentence(&line).is_ok());
+    }
+
+    #[test]
+    fn rejects_non_finite_numbers() {
+        for (body, field) in [
+            (
+                "GPGGA,123519,4807.038,N,01131.000,E,1,08,NaN,545.4,M,46.9,M,,",
+                "hdop",
+            ),
+            (
+                "GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,inf,M,46.9,M,,",
+                "altitude",
+            ),
+            (
+                "GPGGA,123519,4807.038,N,01131.000,E,1,08,0.9,545.4,M,1e400,M,,",
+                "geoid separation",
+            ),
+            (
+                "GPGGA,123519,infinity07.0,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,",
+                "latitude",
+            ),
+            (
+                "GPGGA,123519,4807.038,N,011NaN,E,1,08,0.9,545.4,M,46.9,M,,",
+                "longitude",
+            ),
+            (
+                "GPGGA,123519.5e400,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,",
+                "time",
+            ),
+            (
+                "GPRMC,123519,A,4807.038,N,01131.000,E,-inf,084.4,230394,003.1,W",
+                "speed",
+            ),
+            ("GPGSA,A,3,04,05,,09,12,,,24,,,,,2.5,NAN,2.1", "hdop"),
+            ("GPVTG,054.7,T,034.4,M,Infinity,N,010.2,K", "speed knots"),
+        ] {
+            let line = format!("${body}*{:02X}", checksum(body));
+            match parse_sentence(&line) {
+                Err(NmeaError::InvalidField { field: f, .. }) => assert_eq!(f, field, "{body}"),
+                other => panic!("{body}: expected an invalid {field} field, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use perpos_core::component::{Component, ComponentCtx, ComponentDescriptor, Input
 use perpos_core::feature::{ComponentFeature, FeatureAction, FeatureDescriptor, FeatureHost};
 use perpos_core::prelude::*;
 use perpos_model::Building;
-use perpos_nmea::{parse_sentence, Sentence};
+use perpos_nmea::parse_sentence;
 
 use crate::codec;
 
@@ -119,7 +119,7 @@ impl Component for Interpreter {
         item: DataItem,
         ctx: &mut ComponentCtx<'_>,
     ) -> Result<(), CoreError> {
-        let Some(Sentence::Gga(gga)) = codec::sentence_of(&item) else {
+        let Some(gga) = codec::gga_of(&item) else {
             return Ok(());
         };
         let (Some(lat), Some(lon)) = (gga.lat_deg, gga.lon_deg) else {
@@ -389,7 +389,7 @@ impl ComponentFeature for HdopFeature {
         mut item: DataItem,
         _host: &mut FeatureHost<'_>,
     ) -> Result<FeatureAction, CoreError> {
-        if let Some(Sentence::Gga(gga)) = codec::sentence_of(&item) {
+        if let Some(gga) = codec::gga_of(&item) {
             if gga.quality.has_fix() {
                 self.last_hdop = Some(gga.hdop);
                 item.attrs.insert("hdop", Value::Float(gga.hdop));
@@ -450,7 +450,7 @@ impl ComponentFeature for NumberOfSatellitesFeature {
         mut item: DataItem,
         _host: &mut FeatureHost<'_>,
     ) -> Result<FeatureAction, CoreError> {
-        if let Some(Sentence::Gga(gga)) = codec::sentence_of(&item) {
+        if let Some(gga) = codec::gga_of(&item) {
             let n = i64::from(gga.num_satellites);
             self.last = Some(n);
             item.attrs.insert("satellites", Value::Int(n));
@@ -583,6 +583,46 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_field_is_a_parse_error_and_delivers_nothing() {
+        // Checksum-valid, but HDOP is not a number: the Parser must count
+        // it as an error instead of emitting a fix with NaN accuracy.
+        let body = "GPGGA,123519,4807.038,N,01131.000,E,1,08,NaN,545.4,M,46.9,M,,";
+        let line = format!("${body}*{:02X}", checksum(body));
+        let mut mw = Middleware::new();
+        let mut lines = vec![line, GGA.to_string()].into_iter();
+        let src = mw.add_component(FnSource::new("trace", kinds::RAW_STRING, move |_| {
+            lines.next().map(Value::from)
+        }));
+        let parser = mw.add_component(Parser::new());
+        mw.attach_feature(parser, HdopFeature::new()).unwrap();
+        let interpreter = mw.add_component(Interpreter::new());
+        let app = mw.application_sink();
+        mw.connect(src, parser, 0).unwrap();
+        mw.connect(parser, interpreter, 0).unwrap();
+        mw.connect(interpreter, app, 0).unwrap();
+        let provider = mw.location_provider(Criteria::default()).unwrap();
+
+        mw.step().unwrap();
+        assert_eq!(mw.invoke(parser, "errorCount", &[]).unwrap(), Value::Int(1));
+        assert_eq!(
+            mw.invoke(parser, "parsedCount", &[]).unwrap(),
+            Value::Int(0)
+        );
+        assert_eq!(provider.delivered_count(), 0);
+        assert_eq!(
+            mw.invoke_feature(parser, HdopFeature::NAME, "getHDOP", &[])
+                .unwrap(),
+            Value::Null
+        );
+
+        // The next, well-formed line still goes through.
+        mw.step().unwrap();
+        assert_eq!(provider.delivered_count(), 1);
+        let accuracy = provider.last_position().unwrap().accuracy_m().unwrap();
+        assert!(accuracy.is_finite());
+    }
+
+    #[test]
     fn parser_rejects_non_text_payload() {
         let mut p = Parser::new();
         let item = DataItem::new(kinds::RAW_STRING, SimTime::ZERO, Value::Int(5));
@@ -623,6 +663,43 @@ mod tests {
         let rmc = "$GPRMC,123519,A,4807.038,N,01131.000,E,022.4,084.4,230394,003.1,W*6A";
         let out = ComponentCtxProbe::run_input(&mut i, parsed(rmc)).unwrap();
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn rendered_tree_shows_the_sentence_fields() {
+        // Fig. 4: the NMEA node of a GPS channel's data tree prints the
+        // sentence itself, slot by slot, not an opaque list size.
+        let mut mw = Middleware::new();
+        let mut line = Some(GGA);
+        let src = mw.add_component(FnSource::new("GPS", kinds::RAW_STRING, move |_| {
+            line.take().map(Value::from)
+        }));
+        let parser = mw.add_component(Parser::new());
+        let interpreter = mw.add_component(Interpreter::new());
+        let app = mw.application_sink();
+        mw.connect(src, parser, 0).unwrap();
+        mw.connect(parser, interpreter, 0).unwrap();
+        mw.connect(interpreter, app, 0).unwrap();
+        let channel = mw.channel_into(app, 0).unwrap();
+        mw.subscribe_channel_history(channel, 1).unwrap();
+        mw.step().unwrap();
+
+        let trees = mw.channel_history(channel).unwrap();
+        let tree = trees.last().expect("one tree");
+        let nmea = tree.items_of_kind(&kinds::NMEA_SENTENCE);
+        assert_eq!(nmea.len(), 1);
+        let lat = 48.0 + 7.038 / 60.0;
+        let lon = 11.0 + 31.0 / 60.0;
+        let shown = format!(r#"["GGA", 12, 35, 19, 0, {lat}, {lon}, 1, 8, 0.9, 545.4, 46.9]"#);
+        assert_eq!(nmea[0].item.payload.to_string(), shown);
+        let rendered = tree.render();
+        assert!(
+            rendered
+                .lines()
+                .any(|l| l.trim_start().starts_with("Parser: ") && l.contains(&shown)),
+            "{rendered}"
+        );
+        assert!(!rendered.contains("items]"), "{rendered}");
     }
 
     #[test]
