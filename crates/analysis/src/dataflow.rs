@@ -90,9 +90,6 @@ pub struct FlowGraph {
     pub nodes: Vec<FlowNode>,
     /// Wires between them.
     pub edges: Vec<FlowEdge>,
-    /// Executor mode the configuration requests (`None` = the default
-    /// sequential executor; live structures do not record a request).
-    pub executor: Option<String>,
     /// Fleet deployment the configuration requests (`None` = a single
     /// unsupervised instance; live structures do not record one).
     pub fleet: Option<FleetSpec>,
@@ -111,7 +108,6 @@ impl FlowGraph {
         FlowGraph {
             nodes,
             edges,
-            executor: None,
             fleet: None,
             preds,
             succs,
@@ -185,7 +181,6 @@ impl FlowGraph {
             });
         }
         let mut graph = FlowGraph::finish(nodes, edges);
-        graph.executor = config.executor.clone();
         graph.fleet = config.fleet.clone();
         graph
     }
@@ -296,9 +291,8 @@ impl FlowGraph {
 
     /// Longest-path layering of the nodes: level 0 holds the nodes with
     /// no wired producers, and every other node sits one past its
-    /// deepest producer. This mirrors the layering the level-parallel
-    /// executor schedules by, so lint output and runtime agree on the
-    /// graph's parallel width. Nodes stuck on a cycle (possible only in
+    /// deepest producer — the process's stages, as the facts document
+    /// reports them. Nodes stuck on a cycle (possible only in
     /// declarative configs; flagged P005 elsewhere) are placed at level
     /// 0 to keep the layering total.
     pub fn topo_levels(&self) -> Vec<Vec<usize>> {
@@ -536,7 +530,6 @@ mod tests {
                 edge("b", "c", 1),
                 edge("c", "app", 0),
             ],
-            executor: None,
             tree_policy: None,
             fleet: None,
         };
@@ -556,7 +549,6 @@ mod tests {
         let config = GraphConfig {
             components: vec![instance("x", "proc"), instance("y", "proc")],
             connections: vec![edge("x", "y", 0), edge("y", "x", 0)],
-            executor: None,
             tree_policy: None,
             fleet: None,
         };
@@ -586,12 +578,10 @@ mod tests {
                 edge("b", "c", 1),
                 edge("c", "app", 0),
             ],
-            executor: Some("level-parallel".into()),
             tree_policy: None,
             fleet: None,
         };
         let g = FlowGraph::from_config(&config, &catalog);
-        assert_eq!(g.executor.as_deref(), Some("level-parallel"));
         // c consumes both a (depth 0) and b (depth 1), so it sits at
         // level 2 — one past its *deepest* producer.
         assert_eq!(g.topo_levels(), vec![vec![0], vec![1], vec![2], vec![3]]);
@@ -604,7 +594,6 @@ mod tests {
         let config = GraphConfig {
             components: vec![instance("x", "proc"), instance("y", "proc")],
             connections: vec![edge("x", "y", 0), edge("y", "x", 0)],
-            executor: None,
             tree_policy: None,
             fleet: None,
         };
@@ -621,7 +610,6 @@ mod tests {
         let config = GraphConfig {
             components: vec![instance("a", "src"), instance("ghost", "unknown-type")],
             connections: vec![edge("a", "nobody", 0), edge("ghost", "a", 7)],
-            executor: None,
             tree_policy: None,
             fleet: None,
         };
@@ -641,7 +629,6 @@ mod tests {
         let config = GraphConfig {
             components: vec![instance("s", "src"), instance("n", "narrow")],
             connections: vec![edge("s", "n", 0)],
-            executor: None,
             tree_policy: None,
             fleet: None,
         };

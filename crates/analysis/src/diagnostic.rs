@@ -23,8 +23,10 @@ use serde::{Content, Serialize};
 /// facts' `scheduler`/`workers` fields (the resolved fleet scheduler
 /// name and its *requested* worker cap, 0 meaning machine-sized — the
 /// requested value is recorded, not the machine-resolved one, so the
-/// document stays host-independent).
-pub const JSON_SCHEMA_VERSION: u32 = 7;
+/// document stays host-independent); version 8 retires code P017 and
+/// drops the facts document's `executor` field and `effects.conflicts`
+/// array, since the engine has one execution mode.
+pub const JSON_SCHEMA_VERSION: u32 = 8;
 
 /// The one canonical-ordering primitive behind every byte-reproducible
 /// surface of this crate: sorts `items` by `key`, computing each key
@@ -138,11 +140,10 @@ define_codes! {
     /// default `Propagate` policy, so every component fault escapes the
     /// instance and is paid for as a fleet-level checkpoint restart.
     P016 => "fleet deployment relies on checkpoint-restart for routine faults",
-    /// Wave interference: under a level-parallel executor two components
-    /// scheduled into the same wave declare a write-write or read-write
-    /// conflict on a named shared resource, so the schedule order is
-    /// observable and the executor's determinism contract breaks.
-    P017 => "same-wave components race on a shared resource under level-parallel",
+    /// Retired, never emitted: flagged same-wave shared-resource races
+    /// under the removed level-parallel executor. The number stays
+    /// reserved so it never takes on another meaning.
+    P017 => "retired: same-wave races under the removed level-parallel executor",
     /// Checkpoint blind spot: a component declared stateful but not
     /// snapshot-capable runs inside a fleet deployment, so every
     /// checkpoint restart silently diverges from the uninterrupted run.
@@ -357,21 +358,22 @@ impl Code {
                       is reserved for genuine crashes.",
             },
             Code::P017 => CodeExplanation {
-                detail: "The level-parallel executor runs mutually independent nodes \
-                         of each wave concurrently, relying on components only \
-                         touching their own state. Effect analysis layers the graph \
-                         exactly as the executor does (longest-path levels) and \
-                         checks every same-wave pair's declared shared-resource \
-                         effects: a write-write or read-write overlap on one resource \
-                         means the wave's worker schedule becomes observable, and the \
-                         executor's byte-identical determinism contract no longer \
-                         holds.",
-                example: "Two calibration stages in the same wave both declaring \
-                          writes on a shared \"bias-table\" resource while the \
-                          configuration selects the level-parallel executor.",
-                fix: "Serialize the conflicting components into different waves (wire \
-                      one downstream of the other), route the shared state through a \
-                      component of its own, or drop back to the sequential executor.",
+                detail: "Retired. P017 flagged two components in the same \
+                         topological wave that declared conflicting access to a \
+                         shared resource, because the level-parallel executor ran \
+                         such waves on concurrent workers. That executor was removed: \
+                         a sweep of per-node cost showed it beat the sequential engine \
+                         only when two sibling nodes each cost about 400 µs, and no \
+                         shipped component comes close. Every middleware instance now \
+                         runs one node at a time, so components of one instance cannot \
+                         race. Parallelism lives in the fleet, where P020 checks \
+                         shared-resource writes across concurrently stepped shards. \
+                         The number stays reserved and is never emitted.",
+                example: "None: no configuration triggers P017. A configuration that \
+                          still carries an \"executor\" key loads with the key \
+                          ignored.",
+                fix: "Nothing to fix. Remove a leftover \"executor\" key from the \
+                      configuration, if any.",
             },
             Code::P018 => CodeExplanation {
                 detail: "Fleet checkpoint-restart rebuilds a faulted instance and \
@@ -413,9 +415,8 @@ impl Code {
                          into every instance, so a component declaring writes on a \
                          named shared resource exists once per instance; replicas in \
                          concurrently stepped shards then hit the same resource with \
-                         no wave ordering to serialize them. This is the \
-                         cross-instance analogue of P017, and a single writing \
-                         component suffices: it races with its own replicas.",
+                         nothing to serialize them. A single writing component \
+                         suffices: it races with its own replicas.",
                 example: "A calibration stage declaring writes on a shared \
                           \"bias-table\" resource inside a fleet block with \
                           \"workers\": 4.",

@@ -155,30 +155,17 @@ struct JsonNodeEffects {
     snapshot_capable: bool,
 }
 
-#[derive(Serialize)]
-struct JsonWaveConflict {
-    wave: u64,
-    resource: String,
-    kind: String,
-    a: String,
-    b: String,
-}
-
-/// The schema-v6 `effects` block: declared per-node effects plus the
-/// wave-interference conflicts (P017 material) found over the
-/// level-parallel schedule — reported whatever executor the
-/// configuration selects, so tooling can see latent interference.
+/// The `effects` block: declared per-node effects, for the nodes that
+/// declare any.
 #[derive(Serialize)]
 struct JsonEffectsFacts {
     nodes: Vec<JsonNodeEffects>,
-    conflicts: Vec<JsonWaveConflict>,
 }
 
 #[derive(Serialize)]
 struct JsonFactsDoc {
     schema_version: u64,
     converged: bool,
-    executor: String,
     /// The channel layer's per-level pending-buffer bound the
     /// `overflow_s` node predictions are computed against.
     level_buffer_cap: u64,
@@ -193,9 +180,9 @@ struct JsonFactsDoc {
 
 /// Renders the solved facts as the versioned JSON document served by
 /// `perpos-lint --facts json`: per-node output facts plus per-edge views
-/// (the producer's facts filtered by what the edge can carry), the
-/// executor mode the configuration requests, and the longest-path level
-/// structure the level-parallel executor would schedule by.
+/// (the producer's facts filtered by what the edge can carry), declared
+/// effects, the fleet deployment and the longest-path level structure
+/// of the process.
 ///
 /// Arrays are emitted in canonical order — nodes by label, edges by
 /// `(from, to, port)`, each level's members by label — so the document
@@ -262,23 +249,9 @@ pub fn facts_json(graph: &FlowGraph, facts: &GraphFacts) -> String {
         })
         .collect();
     canonical_sort(&mut effect_nodes, |n| n.label.clone());
-    let conflicts = crate::effects::wave_conflicts(graph)
-        .into_iter()
-        .map(|c| JsonWaveConflict {
-            wave: c.wave as u64,
-            resource: c.resource,
-            kind: c.kind.as_str().to_string(),
-            a: c.a,
-            b: c.b,
-        })
-        .collect();
     let doc = JsonFactsDoc {
         schema_version: u64::from(JSON_SCHEMA_VERSION),
         converged: facts.converged,
-        executor: graph
-            .executor
-            .clone()
-            .unwrap_or_else(|| "sequential".into()),
         level_buffer_cap: perpos_core::channel::LEVEL_BUFFER_CAP as u64,
         fleet: graph.fleet.as_ref().map(|spec| {
             let resolved = spec.to_fleet_config();
@@ -292,7 +265,6 @@ pub fn facts_json(graph: &FlowGraph, facts: &GraphFacts) -> String {
         }),
         effects: JsonEffectsFacts {
             nodes: effect_nodes,
-            conflicts,
         },
         levels: graph
             .topo_levels()

@@ -1,17 +1,12 @@
-//! Effect & determinism analysis (P017–P020).
+//! Effect & determinism analysis (P018–P020).
 //!
-//! The executor layer and the fleet runtime both lean on properties no
-//! earlier pass verified: `LevelParallel` assumes same-wave components
-//! never touch shared state (its determinism proof is exactly that wave
-//! members commute), and fleet checkpoint-restart assumes a snapshot
-//! captures *all* component state and that replaying a trace reproduces
-//! the run byte-for-byte. Components declare the effects that could
-//! break those assumptions in [`EffectSpec`] metadata; this module
-//! checks the declarations against the deployment the graph requests:
+//! Fleet checkpoint-restart assumes a snapshot captures *all* component
+//! state and that replaying a trace reproduces the run byte-for-byte,
+//! and parallel shard stepping assumes instances share nothing.
+//! Components declare the effects that could break those assumptions in
+//! [`EffectSpec`] metadata; this module checks the declarations against
+//! the deployment the graph requests:
 //!
-//! - **P017** (error) — two components scheduled into the same
-//!   level-parallel wave declare a write-write or read-write conflict on
-//!   a named shared resource, so worker schedule order is observable.
 //! - **P018** (error) — a component declared stateful but not
 //!   snapshot-capable runs inside a fleet deployment; checkpoint-restart
 //!   silently resets its state.
@@ -21,131 +16,16 @@
 //! - **P020** (warning) — the fleet block requests parallel shard
 //!   stepping while a template component declares shared-resource
 //!   writes: the component's replicas in concurrently stepped shards
-//!   race on the named resource (the cross-instance analogue of P017).
+//!   race on the named resource.
 //!
-//! The conflict computation layers the graph with
-//! [`FlowGraph::topo_levels`] — the same longest-path layering the
-//! `LevelParallel` executor schedules by — so a P017 finding names the
-//! exact wave whose members would race. `tests/schedule_permutation.rs`
-//! in the workspace root validates the analysis dynamically: P017-clean
-//! graphs stay byte-identical under permuted wave schedules, while the
-//! committed interfering fixture both trips P017 and observably
-//! diverges.
+//! P017 (same-wave shared-resource conflicts) retired with the
+//! level-parallel executor it guarded; the engine runs one node at a
+//! time, so components of one instance cannot race.
 
 use perpos_core::component::EffectSpec;
-use perpos_core::executor::ExecMode;
 
 use crate::dataflow::FlowGraph;
-use crate::diagnostic::{canonical_sort, Code, Diagnostic, Report, Severity};
-
-/// How two same-wave components interfere on a shared resource.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ConflictKind {
-    /// Both components write the resource; final state depends on
-    /// schedule order.
-    WriteWrite,
-    /// One writes while the other reads; the reader observes the
-    /// schedule.
-    ReadWrite,
-}
-
-impl ConflictKind {
-    /// Stable name used in messages and the facts document.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ConflictKind::WriteWrite => "write-write",
-            ConflictKind::ReadWrite => "read-write",
-        }
-    }
-}
-
-/// A P017 finding in structured form: which wave, which resource, and
-/// the two interfering components (`a` is the writer for read-write
-/// conflicts; for write-write conflicts the pair is ordered by label).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WaveConflict {
-    /// Zero-based index of the wave in [`FlowGraph::topo_levels`].
-    pub wave: usize,
-    /// The shared resource both effects name.
-    pub resource: String,
-    /// Write-write or read-write.
-    pub kind: ConflictKind,
-    /// First interfering component's label (the writer when `kind` is
-    /// read-write).
-    pub a: String,
-    /// Second interfering component's label (the reader when `kind` is
-    /// read-write).
-    pub b: String,
-}
-
-fn resources(list: Option<&Vec<String>>) -> &[String] {
-    list.map(Vec::as_slice).unwrap_or(&[])
-}
-
-fn writes(e: &EffectSpec) -> &[String] {
-    resources(e.writes.as_ref())
-}
-
-fn reads(e: &EffectSpec) -> &[String] {
-    resources(e.reads.as_ref())
-}
-
-/// Computes every same-wave shared-resource conflict over the
-/// level-parallel schedule, in canonical order (wave, resource, kind,
-/// labels). The conflicts exist whatever executor the configuration
-/// selects — they only become *observable* under `LevelParallel` — so
-/// this runs unconditionally and callers decide what the result means:
-/// [`effect_diagnostics`] turns it into P017 only when the graph
-/// requests the level-parallel executor, while the facts document always
-/// reports it.
-pub fn wave_conflicts(graph: &FlowGraph) -> Vec<WaveConflict> {
-    let mut out = Vec::new();
-    for (wave, level) in graph.topo_levels().into_iter().enumerate() {
-        // Order wave members by label so pair enumeration (and with it
-        // the a/b assignment of write-write conflicts) is deterministic.
-        let mut members: Vec<usize> = level;
-        canonical_sort(&mut members, |&i| graph.nodes[i].label.clone());
-        for (pos, &i) in members.iter().enumerate() {
-            for &j in &members[pos + 1..] {
-                let (ea, eb) = (&graph.nodes[i].effects, &graph.nodes[j].effects);
-                for resource in writes(ea) {
-                    if writes(eb).contains(resource) {
-                        out.push(WaveConflict {
-                            wave,
-                            resource: resource.clone(),
-                            kind: ConflictKind::WriteWrite,
-                            a: graph.nodes[i].label.clone(),
-                            b: graph.nodes[j].label.clone(),
-                        });
-                    } else if reads(eb).contains(resource) {
-                        out.push(WaveConflict {
-                            wave,
-                            resource: resource.clone(),
-                            kind: ConflictKind::ReadWrite,
-                            a: graph.nodes[i].label.clone(),
-                            b: graph.nodes[j].label.clone(),
-                        });
-                    }
-                }
-                for resource in writes(eb) {
-                    if !writes(ea).contains(resource) && reads(ea).contains(resource) {
-                        out.push(WaveConflict {
-                            wave,
-                            resource: resource.clone(),
-                            kind: ConflictKind::ReadWrite,
-                            a: graph.nodes[j].label.clone(),
-                            b: graph.nodes[i].label.clone(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    canonical_sort(&mut out, |c| {
-        (c.wave, c.resource.clone(), c.kind, c.a.clone(), c.b.clone())
-    });
-    out
-}
+use crate::diagnostic::{Code, Diagnostic, Report, Severity};
 
 /// The exogenous/unseeded effect names a node declares, for P019
 /// messages and the facts document. Empty when the node is
@@ -164,45 +44,11 @@ pub fn nondeterministic_effects(e: &EffectSpec) -> Vec<&'static str> {
     names
 }
 
-/// Whether the graph's configuration selects the level-parallel
-/// executor (any accepted spelling).
-fn is_level_parallel(graph: &FlowGraph) -> bool {
-    graph
-        .executor
-        .as_deref()
-        .and_then(ExecMode::from_name)
-        .is_some_and(|m| m == ExecMode::LevelParallel)
-}
-
 /// Runs the effect checks that the graph's *declared deployment* makes
-/// relevant: P017 when the level-parallel executor is requested, P018
-/// and P019 when a fleet block is present (checkpoint-restart assumes
-/// snapshot completeness and deterministic replay).
+/// relevant: P018, P019 and P020 when a fleet block is present
+/// (checkpoint-restart assumes snapshot completeness and deterministic
+/// replay; parallel shard stepping assumes share-nothing instances).
 pub fn effect_diagnostics(graph: &FlowGraph, report: &mut Report) {
-    if is_level_parallel(graph) {
-        for c in wave_conflicts(graph) {
-            report.push(
-                Diagnostic::new(
-                    Code::P017,
-                    Severity::Error,
-                    format!(
-                        "components {:?} and {:?} run in the same level-parallel wave \
-                         (wave {}) with a {} conflict on shared resource {:?}",
-                        c.a,
-                        c.b,
-                        c.wave,
-                        c.kind.as_str(),
-                        c.resource
-                    ),
-                    vec![c.a.clone(), c.b.clone()],
-                )
-                .with_hint(
-                    "serialize the pair (wire one downstream of the other), move the shared \
-                     state into a component of its own, or select the sequential executor",
-                ),
-            );
-        }
-    }
     if graph.fleet.is_some() {
         for n in &graph.nodes {
             if n.effects.stateful == Some(true) && n.effects.snapshot_capable != Some(true) {
@@ -235,9 +81,8 @@ pub fn effect_diagnostics(graph: &FlowGraph, report: &mut Report) {
 /// resource. Every fleet instance replicates the template, so the
 /// writing component exists once *per instance*; with shards stepped
 /// concurrently, replicas in different shards hit the same named
-/// resource with no wave to serialize them — the cross-instance
-/// analogue of P017, and it does not even need two components: a single
-/// writer races with its own replicas. The fleet's byte-equality
+/// resource with nothing to serialize them — and it does not even need
+/// two components: a single writer races with its own replicas. The fleet's byte-equality
 /// contract (serial ≡ work-stealing) only covers state the instances
 /// actually own.
 pub fn fleet_parallel_diagnostics(graph: &FlowGraph, report: &mut Report) {
@@ -257,7 +102,7 @@ pub fn fleet_parallel_diagnostics(graph: &FlowGraph, report: &mut Report) {
         workers.to_string()
     };
     for n in &graph.nodes {
-        let written = writes(&n.effects);
+        let written = n.effects.writes.as_deref().unwrap_or(&[]);
         if written.is_empty() {
             continue;
         }
@@ -349,68 +194,6 @@ mod tests {
             scheduler: None,
             workers: None,
         }
-    }
-
-    #[test]
-    fn same_wave_write_write_conflict_found() {
-        let g = graph_of(vec![
-            node("a", EffectSpec::new().writing("bias")),
-            node("b", EffectSpec::new().writing("bias")),
-        ]);
-        let conflicts = wave_conflicts(&g);
-        assert_eq!(conflicts.len(), 1);
-        assert_eq!(conflicts[0].kind, ConflictKind::WriteWrite);
-        assert_eq!(conflicts[0].resource, "bias");
-        assert_eq!(
-            (conflicts[0].a.as_str(), conflicts[0].b.as_str()),
-            ("a", "b")
-        );
-    }
-
-    #[test]
-    fn read_write_conflict_names_the_writer_first() {
-        let g = graph_of(vec![
-            node("reader", EffectSpec::new().reading("map")),
-            node("writer", EffectSpec::new().writing("map")),
-        ]);
-        let conflicts = wave_conflicts(&g);
-        assert_eq!(conflicts.len(), 1);
-        assert_eq!(conflicts[0].kind, ConflictKind::ReadWrite);
-        assert_eq!(conflicts[0].a, "writer");
-        assert_eq!(conflicts[0].b, "reader");
-    }
-
-    #[test]
-    fn disjoint_resources_and_pure_reads_are_clean() {
-        let g = graph_of(vec![
-            node("a", EffectSpec::new().writing("left")),
-            node("b", EffectSpec::new().writing("right")),
-            node("c", EffectSpec::new().reading("shared-map")),
-            node("d", EffectSpec::new().reading("shared-map")),
-        ]);
-        assert!(wave_conflicts(&g).is_empty());
-    }
-
-    #[test]
-    fn p017_requires_level_parallel_executor() {
-        let nodes = vec![
-            node("a", EffectSpec::new().writing("bias")),
-            node("b", EffectSpec::new().writing("bias")),
-        ];
-        let mut sequential = graph_of(nodes.clone());
-        sequential.executor = Some("sequential".into());
-        let mut report = Report::new();
-        effect_diagnostics(&sequential, &mut report);
-        assert!(report.is_clean());
-
-        let mut parallel = graph_of(nodes);
-        parallel.executor = Some("level-parallel".into());
-        let mut report = Report::new();
-        effect_diagnostics(&parallel, &mut report);
-        assert_eq!(report.diagnostics.len(), 1);
-        assert_eq!(report.diagnostics[0].code, Code::P017);
-        assert!(report.diagnostics[0].message.contains("wave 0"));
-        assert!(report.diagnostics[0].message.contains("\"bias\""));
     }
 
     #[test]

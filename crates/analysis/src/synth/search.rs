@@ -224,7 +224,6 @@ fn materialize(ctx: &Ctx<'_>, plan: &Plan, with_app: bool) -> GraphConfig {
     GraphConfig {
         components,
         connections,
-        executor: None,
         tree_policy: None,
         fleet: None,
     }

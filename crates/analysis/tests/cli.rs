@@ -130,15 +130,9 @@ fn facts_json_reports_inferred_dataflow() {
         .and_then(|(_, v)| v.as_list())
         .unwrap();
     assert_eq!(edges.len(), 10, "{stdout}");
-    // Execution metadata: the fixture does not request an executor, so
-    // the doc reports the default, and the level structure layers every
-    // node exactly once.
-    let executor = map.iter().find(|(k, _)| k == "executor").unwrap();
-    assert_eq!(
-        executor.1,
-        serde::Content::Str("sequential".into()),
-        "{stdout}"
-    );
+    // The engine has one execution mode, so the doc names none; the
+    // level structure layers every node exactly once.
+    assert!(!map.iter().any(|(k, _)| k == "executor"), "{stdout}");
     let levels = map
         .iter()
         .find(|(k, _)| k == "levels")
@@ -174,6 +168,15 @@ fn explain_prints_description_example_and_fix() {
     assert!(stdout.starts_with("P012:"), "{stdout}");
     assert!(stdout.contains("example:"), "{stdout}");
     assert!(stdout.contains("fix:"), "{stdout}");
+}
+
+#[test]
+fn explain_p017_says_it_is_retired() {
+    let out = lint(&["--explain", "P017"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.starts_with("P017: retired"), "{stdout}");
+    assert!(stdout.contains("never emitted"), "{stdout}");
 }
 
 #[test]

@@ -310,7 +310,6 @@ fn instantiate_checked_blocks_bad_config_without_touching_middleware() {
             to: "app".into(),
             port: 0,
         }],
-        executor: None,
         tree_policy: None,
         fleet: None,
     };
@@ -359,7 +358,6 @@ fn instantiate_checked_blocks_bad_config_without_touching_middleware() {
                 port: 0,
             },
         ],
-        executor: None,
         tree_policy: None,
         fleet: None,
     };

@@ -187,10 +187,6 @@ pub struct GraphConfig {
     pub components: Vec<ComponentConfig>,
     /// Edges between them.
     pub connections: Vec<ConnectionConfig>,
-    /// Execution mode for the middleware's engine (`"sequential"` or
-    /// `"level-parallel"`); absent keeps the current (default:
-    /// sequential) executor. See [`crate::executor::ExecMode`].
-    pub executor: Option<String>,
     /// Tree materialization policy for the channel layer (`"lazy"` or
     /// `"eager"`); absent keeps the current (default: lazy) policy. See
     /// [`crate::channel::TreePolicy`].
@@ -214,15 +210,6 @@ impl GraphConfig {
         mw: &mut Middleware,
         factories: &BTreeMap<String, Factory>,
     ) -> Result<BTreeMap<String, NodeId>, CoreError> {
-        if let Some(name) = &self.executor {
-            let mode = crate::executor::ExecMode::from_name(name).ok_or_else(|| {
-                CoreError::ComponentFailure {
-                    component: "executor".into(),
-                    reason: format!("unknown executor mode {name:?}"),
-                }
-            })?;
-            mw.set_executor(mode);
-        }
         if let Some(name) = &self.tree_policy {
             let policy = crate::channel::TreePolicy::from_name(name).ok_or_else(|| {
                 CoreError::ComponentFailure {
@@ -595,7 +582,6 @@ mod tests {
                     port: 0,
                 },
             ],
-            executor: None,
             tree_policy: None,
             fleet: None,
         };
@@ -649,7 +635,6 @@ mod tests {
                     port: 0,
                 },
             ],
-            executor: None,
             tree_policy: None,
             fleet: Some(FleetSpec {
                 instances: 12,
@@ -698,7 +683,6 @@ mod tests {
                 effects: None,
             }],
             connections: vec![],
-            executor: None,
             tree_policy: None,
             fleet: Some(FleetSpec {
                 instances: 4,
@@ -725,7 +709,6 @@ mod tests {
                 effects: None,
             }],
             connections: vec![],
-            executor: None,
             tree_policy: None,
             fleet: None,
         };
@@ -744,7 +727,6 @@ mod tests {
                 to: "app".into(),
                 port: 0,
             }],
-            executor: None,
             tree_policy: None,
             fleet: None,
         };
@@ -768,7 +750,6 @@ mod tests {
                 },
             ],
             connections: vec![],
-            executor: None,
             tree_policy: None,
             fleet: None,
         };
@@ -776,27 +757,19 @@ mod tests {
     }
 
     #[test]
-    fn graph_config_selects_executor() {
-        let factories: BTreeMap<String, Factory> = BTreeMap::new();
+    fn legacy_executor_key_is_ignored() {
+        // Configurations written when the engine was selectable may still
+        // carry `"executor"`. Like any unknown key it is skipped: the
+        // configuration loads, instantiates and runs on the one engine.
+        let legacy: GraphConfig = serde_json::from_str(
+            r#"{"components": [], "connections": [], "executor": "level-parallel"}"#,
+        )
+        .unwrap();
+        assert_eq!(legacy, GraphConfig::default());
+        assert!(!serde_json::to_string(&legacy).unwrap().contains("executor"));
         let mut mw = Middleware::new();
-        let config = GraphConfig {
-            components: vec![],
-            connections: vec![],
-            executor: Some("level-parallel".into()),
-            tree_policy: None,
-            fleet: None,
-        };
-        config.instantiate(&mut mw, &factories).unwrap();
-        assert_eq!(mw.executor_mode(), crate::executor::ExecMode::LevelParallel);
-        // Unknown executor names are rejected before any component is built.
-        let bad = GraphConfig {
-            components: vec![],
-            connections: vec![],
-            executor: Some("round-robin".into()),
-            tree_policy: None,
-            fleet: None,
-        };
-        assert!(bad.instantiate(&mut mw, &factories).is_err());
+        legacy.instantiate(&mut mw, &BTreeMap::new()).unwrap();
+        mw.step().unwrap();
     }
 
     #[test]

@@ -242,9 +242,9 @@ impl TransferSpec {
 /// resources it touches, which exogenous inputs it samples, and whether
 /// its accumulated state survives a checkpoint. `perpos-analysis` uses
 /// this to prove execution-level assembly properties *before* running:
-/// wave interference under the level-parallel executor (P017), silent
-/// checkpoint-restart divergence in fleets (P018) and hidden
-/// nondeterminism in pipelines treated as deterministic (P019).
+/// silent checkpoint-restart divergence in fleets (P018), hidden
+/// nondeterminism in pipelines treated as deterministic (P019) and
+/// shared-resource writes racing across parallel fleet shards (P020).
 ///
 /// Every field is optional; an empty spec means "no declared effects"
 /// and the analyses treat the component as pure, snapshot-safe and
@@ -256,11 +256,12 @@ impl TransferSpec {
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct EffectSpec {
     /// Named shared resources the component reads (e.g. a shared map
-    /// cache, a fingerprint database). Two same-wave components may both
-    /// read a resource; a read racing a write is a P017 conflict.
+    /// cache, a fingerprint database). Reported in the analysis facts;
+    /// reading alone never races.
     pub reads: Option<Vec<String>>,
-    /// Named shared resources the component writes. Any same-wave
-    /// reader or writer of the same resource is a P017 conflict.
+    /// Named shared resources the component writes. Replicas of a
+    /// writer in concurrently stepped fleet shards race on the resource
+    /// (P020).
     pub writes: Option<Vec<String>>,
     /// Whether the component samples the host wall clock (as opposed to
     /// the engine's simulated clock) — an exogenous input that makes
@@ -516,7 +517,11 @@ impl<'a> ComponentCtx<'a> {
         arena: Option<&'a mut PayloadArena>,
     ) -> Self {
         emitted.clear();
-        ComponentCtx { now, emitted, arena }
+        ComponentCtx {
+            now,
+            emitted,
+            arena,
+        }
     }
 
     /// The current simulated time.
@@ -566,8 +571,8 @@ impl<'a> ComponentCtx<'a> {
         self.emitted.push(DataItem::new(kind, self.now, payload));
     }
 
-    /// Whether a payload arena is attached (sequential/batched engine
-    /// paths only; wave workers and bare test contexts run without one).
+    /// Whether a payload arena is attached (the engine attaches one
+    /// unless interning is disabled; bare test contexts run without).
     pub fn has_arena(&self) -> bool {
         self.arena.is_some()
     }

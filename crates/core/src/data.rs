@@ -566,12 +566,7 @@ impl PayloadArena {
             interned: self.interned,
             recycled: self.recycled,
             escaped: self.escaped,
-            live: self.current.len()
-                + self
-                    .generations
-                    .iter()
-                    .map(|(_, b)| b.len())
-                    .sum::<usize>(),
+            live: self.current.len() + self.generations.iter().map(|(_, b)| b.len()).sum::<usize>(),
             cooling: self.cooling.len(),
             free: self.free.len(),
         }
@@ -992,8 +987,7 @@ impl<'a> IntoIterator for &'a Attrs {
 
 impl PartialEq for Attrs {
     fn eq(&self, other: &Self) -> bool {
-        self.shares_with(other)
-            || (self.len() == other.len() && self.iter().eq(other.iter()))
+        self.shares_with(other) || (self.len() == other.len() && self.iter().eq(other.iter()))
     }
 }
 

@@ -1,52 +1,21 @@
-//! The execution layer: scheduling policy split out of the graph.
+//! The engine: one sequential loop that runs a middleware step.
 //!
-//! [`Middleware::step`](crate::Middleware::step) used to be a monolithic
-//! sequential loop; this module reifies the *how* of running one step as
-//! an [`Executor`] so the scheduling policy is a first-class, swappable
-//! concern while the graph stays a pure structure description
-//! (translucency applied to execution itself).
+//! Each step delivers due remote messages and out-of-band reflective
+//! emissions, ticks every live source in id order, then drains one FIFO
+//! item queue a node at a time. Every per-node unit of work (consume
+//! features → `on_input` → produce features, or a source tick) runs
+//! behind a panic fence under the node's fault policy; routing and
+//! channel bookkeeping follow in emission order. Per-node processing
+//! order — and therefore every channel data tree, sink delivery and
+//! [`HealthRegistry`] outcome — is a function of the input trace alone.
 //!
-//! Two executors ship:
-//!
-//! * [`Sequential`] — the explicit default: one FIFO queue, one node at a
-//!   time, exactly the engine the crate always had.
-//! * [`LevelParallel`] — runs mutually independent nodes of each FIFO
-//!   *wave* on scoped worker threads. A wave is the longest prefix of the
-//!   queue whose entries address pairwise-distinct nodes, so per-node
-//!   processing order — and therefore every channel data tree — is
-//!   byte-identical to [`Sequential`] for the same trace.
-//!
-//! A third, test-oriented executor — [`PermutedParallel`] — replays
-//! [`LevelParallel`]'s waves under seeded unit-order permutations to
-//! *validate* the independence assumption the contract below rests on
-//! (the dynamic counterpart of the analysis crate's P017 lint).
-//!
-//! # Determinism contract
-//!
-//! Both executors produce identical channel data trees, identical
-//! application-sink deliveries and identical per-node
-//! [`HealthRegistry`] outcomes for the same input trace. The executors
-//! share one code path for the per-node unit of work (consume features →
-//! `on_input` → produce features) and for routing; [`LevelParallel`]
-//! only changes *when* independent units run, never the order in which
-//! any single node observes items, nor the order routed items enter the
-//! queue.
-//!
-//! Known caveats, inherent to running units concurrently:
-//!
-//! * When a unit faults with [`FaultPolicy::Propagate`]
-//!   (aborting the step), other units of the same wave have already
-//!   executed, so their components' *internal* state may have advanced
-//!   further than under [`Sequential`]. Nothing they produced is routed,
-//!   so all externally observable data stays identical.
-//! * A [`ChannelFeature`](crate::channel::ChannelFeature) that
-//!   reflectively mutates a component while routing may observe that a
-//!   same-wave component already ran. In-tree features do not do this.
-//!
-//! [`FaultPolicy::Propagate`]: crate::supervision::FaultPolicy::Propagate
+//! Scheduling is not part of the positioning process the middleware
+//! makes translucent, so it is not swappable: parallelism lives one
+//! level up, in the fleet's shard scheduler
+//! ([`crate::fleet::FleetScheduler`]), where whole instances are the
+//! unit of work and share nothing.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::channel::ChannelLayer;
@@ -58,61 +27,18 @@ use crate::graph::{Node, NodeId, ProcessingGraph};
 use crate::supervision::{FaultAction, HealthRegistry};
 use crate::{CoreError, SimDuration, SimTime};
 
-/// Which execution policy a [`Middleware`](crate::Middleware) runs its
-/// steps under. Surfaced in `GraphConfig` (`"executor"` field) and over
-/// the reflective surface (`invoke(node, "executor", ..)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// One node at a time in FIFO order — the engine's historical and
-    /// default behaviour.
-    #[default]
-    Sequential,
-    /// Independent nodes of each FIFO wave run on scoped worker threads;
-    /// identical observable results, better wall-clock on wide graphs.
-    LevelParallel,
-}
-
-impl ExecMode {
-    /// Canonical configuration name of the mode.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ExecMode::Sequential => "sequential",
-            ExecMode::LevelParallel => "level-parallel",
-        }
-    }
-
-    /// Parses a configuration name (`"sequential"`, `"level-parallel"`
-    /// and the common spelling variants).
-    pub fn from_name(name: &str) -> Option<ExecMode> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "sequential" | "seq" => Some(ExecMode::Sequential),
-            "level-parallel" | "level_parallel" | "levelparallel" | "parallel" => {
-                Some(ExecMode::LevelParallel)
-            }
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Everything one engine step may touch, borrowed from the
-/// [`Middleware`](crate::Middleware) for the duration of the step. The
-/// middleware constructs this; executors consume it.
-pub struct EngineCtx<'a> {
+/// [`Middleware`](crate::Middleware) for the duration of the step (or
+/// batch of steps).
+pub(crate) struct EngineCtx<'a> {
     pub(crate) graph: &'a mut ProcessingGraph,
     pub(crate) channels: &'a mut ChannelLayer,
     pub(crate) health: &'a mut HealthRegistry,
     pub(crate) deployment: Option<&'a mut Deployment>,
     pub(crate) now: SimTime,
-    /// The shard's payload arena, when interning is enabled. Only the
-    /// inline (sequential) unit paths consume it; wave workers run
-    /// without it — byte-identical output either way, since an interned
-    /// and a plain payload holding the same value are indistinguishable.
+    /// The shard's payload arena, when interning is enabled. Output is
+    /// byte-identical without it, since an interned and a plain payload
+    /// holding the same value are indistinguishable.
     pub(crate) arena: Option<&'a mut PayloadArena>,
     /// Logical time driving arena reclamation: advanced once per
     /// completed step ([`EngineCtx::end_step`]), seeded from the
@@ -166,108 +92,10 @@ impl RunQueue {
             None => self.rest.pop_front(),
         }
     }
-
-    #[inline]
-    fn front(&self) -> Option<&Entry> {
-        self.head.as_ref().or_else(|| self.rest.front())
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.head.is_none() && self.rest.is_empty()
-    }
-}
-
-/// One executed unit's outcome plus whatever it emitted.
-type UnitOutcome = (Result<(), CoreError>, Vec<DataItem>);
-
-/// A scheduling policy for one engine step.
-///
-/// Implementations must uphold the determinism contract described in the
-/// [module documentation](self): per-node processing order and routing
-/// order must match [`Sequential`].
-pub trait Executor: Send {
-    /// The mode this executor implements.
-    fn mode(&self) -> ExecMode;
-
-    /// Runs one engine step to quiescence: deliver due remote messages
-    /// and `pending` out-of-band emissions, tick all sources, then drain
-    /// the item queue.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first fault of a node whose policy is
-    /// `Propagate`; faults under any other policy are contained.
-    fn step(
-        &mut self,
-        ctx: &mut EngineCtx<'_>,
-        pending: Vec<(NodeId, DataItem)>,
-    ) -> Result<(), CoreError>;
-
-    /// Runs `steps` engine steps back to back, advancing `ctx.now` by
-    /// `tick` after every completed step. Observationally identical to
-    /// calling [`Executor::step`] in a loop, but executors override this
-    /// to hoist per-step setup — the source list, the queue and routing
-    /// scratch allocations — out of the inner loop.
-    ///
-    /// `pending` is delivered on the first step only, matching the
-    /// loop the middleware would otherwise run.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first step error, leaving `ctx.now` at the failing
-    /// step's time (so the caller can recover the completed-step count).
-    fn step_batch(
-        &mut self,
-        ctx: &mut EngineCtx<'_>,
-        mut pending: Vec<(NodeId, DataItem)>,
-        steps: u64,
-        tick: SimDuration,
-    ) -> Result<(), CoreError> {
-        for _ in 0..steps {
-            self.step(ctx, std::mem::take(&mut pending))?;
-            ctx.now += tick;
-        }
-        Ok(())
-    }
-
-    /// Ingests a pre-lexed block of trace lines: each line runs as one
-    /// engine step in which `source` emits the line (as [`Value::Text`]
-    /// of `kind`) instead of being ticked — the batch entry point behind
-    /// [`Middleware::ingest_batch`](crate::Middleware::ingest_batch).
-    ///
-    /// Injection is inherently serial (routing order is the determinism
-    /// contract), so every executor shares the sequential implementation;
-    /// the results are byte-identical to a source ticking out the same
-    /// lines under any executor.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnknownNode`] when `source` is not in the graph;
-    /// otherwise the same fault semantics as [`Executor::step_batch`].
-    fn ingest_batch(
-        &mut self,
-        ctx: &mut EngineCtx<'_>,
-        pending: Vec<(NodeId, DataItem)>,
-        source: NodeId,
-        kind: &DataKind,
-        lines: &[&str],
-        tick: SimDuration,
-    ) -> Result<u64, CoreError> {
-        ctx.run_ingest(source, kind, lines, tick, pending)
-    }
-}
-
-/// Creates the executor implementing `mode`.
-pub fn executor_for(mode: ExecMode) -> Box<dyn Executor> {
-    match mode {
-        ExecMode::Sequential => Box::new(Sequential),
-        ExecMode::LevelParallel => Box::new(LevelParallel::new()),
-    }
 }
 
 // ---------------------------------------------------------------------
-// Per-node units of work (shared by every executor)
+// Per-node units of work
 // ---------------------------------------------------------------------
 
 /// Runs the consume-direction features of a node over an incoming item.
@@ -355,8 +183,8 @@ fn produce_features(
 
 /// The node-local part of a source tick: `on_tick`, then the produce
 /// features over every emission. Items ready for routing are pushed to
-/// `out` incrementally, so on a mid-way fault `out` holds exactly what
-/// the sequential engine would already have routed.
+/// `out` incrementally, so on a mid-way fault `out` holds exactly the
+/// emissions that completed their feature pass before the fault.
 fn tick_unit(
     node: &mut Node,
     now: SimTime,
@@ -390,8 +218,8 @@ fn tick_unit(
 
 /// The node-local part of one item delivery: consume features,
 /// `on_input`, produce features over every emission. Push order into
-/// `out` (extras first, then per-emission outputs) matches the
-/// sequential engine's routing order exactly.
+/// `out` (extras first, then per-emission outputs) is the routing
+/// order.
 fn input_unit(
     node: &mut Node,
     port: usize,
@@ -428,7 +256,7 @@ fn input_unit(
     Ok(())
 }
 
-/// Reusable per-engine buffers for the inline (non-wave) unit path.
+/// Reusable per-engine buffers for the unit path.
 /// `out` collects a unit's routed outputs; `emit` is loaned to
 /// [`ComponentCtx`] so component emissions reuse one allocation across
 /// every unit of a step — and, for batched callers, across steps.
@@ -438,50 +266,9 @@ struct Scratch {
     emit: Vec<DataItem>,
 }
 
-/// What a worker executes for one wave member.
-enum Task {
-    /// Tick a source.
-    Tick,
-    /// Deliver an item to an input port.
-    Input(usize, DataItem),
-}
-
-/// One wave member: the task, the node (detached from the graph map for
-/// the duration of the wave), and the unit's results.
-struct Cell<'g> {
-    id: NodeId,
-    name: String,
-    node: Option<&'g mut Node>,
-    task: Option<Task>,
-    out: Vec<DataItem>,
-    result: Result<(), CoreError>,
-}
-
-/// Runs one cell's unit, containing panics as faults.
-fn run_cell(cell: &mut Cell<'_>, now: SimTime) {
-    let Some(node) = cell.node.as_deref_mut() else {
-        cell.result = Err(CoreError::UnknownNode(cell.id));
-        return;
-    };
-    let task = cell.task.take();
-    let out = &mut cell.out;
-    let mut emit = Vec::new();
-    let caught = catch_unwind(AssertUnwindSafe(|| match task {
-        Some(Task::Tick) | None => tick_unit(node, now, out, &mut emit, None),
-        Some(Task::Input(port, item)) => input_unit(node, port, item, now, out, &mut emit, None),
-    }));
-    cell.result = match caught {
-        Ok(r) => r,
-        Err(payload) => Err(CoreError::ComponentFailure {
-            component: cell.name.clone(),
-            reason: format!("panic: {}", panic_message(payload.as_ref())),
-        }),
-    };
-}
-
 /// Renders a caught panic payload for fault records; panics carry a
 /// `&str` or `String` message in practice.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -490,7 +277,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         "opaque panic payload".to_string()
     }
 }
-
 
 // ---------------------------------------------------------------------
 // EngineCtx — routing, supervision bookkeeping, shared step scaffolding
@@ -520,7 +306,7 @@ impl EngineCtx<'_> {
 
     /// Marks one step complete: bumps the logical-time watermark and
     /// periodically lets the arena seal/retire generations against it.
-    /// Executors call this after every successfully drained step.
+    /// Called after every successfully drained step.
     ///
     /// Reclamation is amortized over [`ARENA_ADVANCE_STRIDE`] steps:
     /// sealing less often only delays when slots recycle (the free list
@@ -687,8 +473,7 @@ impl EngineCtx<'_> {
     /// Routes what a unit produced and settles its supervision outcome.
     ///
     /// Routing happens even when the unit faulted mid-way: `out` holds
-    /// exactly the items the sequential engine had already routed before
-    /// the fault hit. Routing errors — including Channel Feature panics,
+    /// exactly the items that were ready to route before the fault hit. Routing errors — including Channel Feature panics,
     /// fenced inside [`route_item`](Self::route_item) — are attributed
     /// to the node like any other fault. `out` is drained, not consumed,
     /// so callers can reuse one buffer across units.
@@ -721,9 +506,9 @@ impl EngineCtx<'_> {
         }
     }
 
-    /// Ticks one source inline: unit, then routing + supervision.
+    /// Ticks one source: unit, then routing + supervision.
     /// `scratch.out` is drained before return.
-    fn run_source_inline(
+    fn run_source(
         &mut self,
         id: NodeId,
         queue: &mut RunQueue,
@@ -749,9 +534,9 @@ impl EngineCtx<'_> {
         self.finish_unit(id, unit, &mut scratch.out, queue)
     }
 
-    /// Processes one queue entry inline: unit, then routing + supervision.
+    /// Processes one queue entry: unit, then routing + supervision.
     /// `scratch.out` is drained before return.
-    fn run_entry_inline(
+    fn run_entry(
         &mut self,
         id: NodeId,
         port: usize,
@@ -780,12 +565,44 @@ impl EngineCtx<'_> {
         self.finish_unit(id, unit, &mut scratch.out, queue)
     }
 
-    /// The full sequential drain over a precomputed source list: tick
-    /// every source, then FIFO-drain the queue one node at a time.
-    /// `scratch` is the reusable per-unit output buffer. Batched callers
-    /// hoist both across steps; [`run_sequential`](Self::run_sequential)
-    /// wraps this for one-shot use.
-    fn run_sequential_from(
+    /// Runs `steps` engine steps back to back, advancing `self.now` by
+    /// `tick` after every completed step. Each step delivers due remote
+    /// messages and `pending` out-of-band emissions (first step only),
+    /// ticks all live sources, then drains the item queue. A single step
+    /// is a one-step batch with a zero tick.
+    ///
+    /// The source list (structure cannot change mid-batch), the FIFO
+    /// queue and the per-unit routing scratch are hoisted across the
+    /// whole batch, so the inner loop allocates nothing of its own.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first fault of a node whose policy is
+    /// `Propagate`; faults under any other policy are contained. Stops
+    /// at the first step error, leaving `self.now` at the failing step's
+    /// time (so the caller can recover the completed-step count).
+    pub(crate) fn step_batch(
+        &mut self,
+        mut pending: Vec<(NodeId, DataItem)>,
+        steps: u64,
+        tick: SimDuration,
+    ) -> Result<(), CoreError> {
+        let sources = self.graph.sources();
+        let mut queue = RunQueue::default();
+        let mut scratch = Scratch::default();
+        for _ in 0..steps {
+            self.drain_prelude(std::mem::take(&mut pending), &mut queue)?;
+            self.drain(&sources, &mut queue, &mut scratch)?;
+            self.now += tick;
+            self.end_step();
+        }
+        Ok(())
+    }
+
+    /// One step's drain over a precomputed source list: tick every live
+    /// source in id order, then FIFO-drain the queue one node at a time.
+    /// `scratch` is the reusable per-unit output buffer.
+    fn drain(
         &mut self,
         sources: &[NodeId],
         queue: &mut RunQueue,
@@ -795,7 +612,7 @@ impl EngineCtx<'_> {
             if self.health.is_quarantined(src, self.now) {
                 continue;
             }
-            self.run_source_inline(src, queue, scratch)?;
+            self.run_source(src, queue, scratch)?;
         }
         while let Some((node, port, item)) = queue.pop_front() {
             // Items addressed to a quarantined node are dropped: the
@@ -803,17 +620,9 @@ impl EngineCtx<'_> {
             if self.health.is_quarantined(node, self.now) {
                 continue;
             }
-            self.run_entry_inline(node, port, item, queue, scratch)?;
+            self.run_entry(node, port, item, queue, scratch)?;
         }
         Ok(())
-    }
-
-    /// One-shot sequential drain. Shared by [`Sequential`] and by
-    /// [`LevelParallel`]'s single-worker / linear-graph fast path.
-    fn run_sequential(&mut self, queue: &mut RunQueue) -> Result<(), CoreError> {
-        let sources = self.graph.sources();
-        let mut scratch = Scratch::default();
-        self.run_sequential_from(&sources, queue, &mut scratch)
     }
 
     /// Block ingest: every `lines` element becomes one engine step in
@@ -822,19 +631,19 @@ impl EngineCtx<'_> {
     /// of being ticked. Produce features, routing, channel bookkeeping,
     /// supervision and the watermark advance are exactly the per-step
     /// machinery, with the queue and routing scratch hoisted across the
-    /// whole block (the same hoisting [`Executor::step_batch`] does), so
+    /// whole block (the same hoisting [`EngineCtx::step_batch`] does), so
     /// the per-line path allocates nothing in steady state.
     ///
     /// Returns the number of lines ingested (= steps run). Lines offered
     /// while the source is quarantined are consumed and dropped, exactly
     /// as a quarantined source's tick is skipped.
-    pub(crate) fn run_ingest(
+    pub(crate) fn ingest_batch(
         &mut self,
+        mut pending: Vec<(NodeId, DataItem)>,
         source: NodeId,
         kind: &DataKind,
         lines: &[&str],
         tick: SimDuration,
-        mut pending: Vec<(NodeId, DataItem)>,
     ) -> Result<u64, CoreError> {
         if !self.graph.contains(source) {
             return Err(CoreError::UnknownNode(source));
@@ -889,7 +698,7 @@ impl EngineCtx<'_> {
                 // per unit: `current` names the node whose unit is in
                 // flight, so a caught unwind is attributed and settled
                 // exactly as the per-unit fence in
-                // [`run_entry_inline`](Self::run_entry_inline) would —
+                // [`run_entry`](Self::run_entry) would —
                 // the unit's partial emissions still route, the fault
                 // policy still applies, and the drain resumes.
                 let mut current = source;
@@ -904,9 +713,15 @@ impl EngineCtx<'_> {
                                 *cur = node;
                                 let unit = match self.graph.node_mut(node) {
                                     None => Err(CoreError::UnknownNode(node)),
-                                    Some(n) => {
-                                        input_unit(n, port, item, self.now, &mut s.out, &mut s.emit, self.arena.as_deref_mut())
-                                    }
+                                    Some(n) => input_unit(
+                                        n,
+                                        port,
+                                        item,
+                                        self.now,
+                                        &mut s.out,
+                                        &mut s.emit,
+                                        self.arena.as_deref_mut(),
+                                    ),
                                 };
                                 self.finish_unit(node, unit, &mut s.out, q)?;
                             }
@@ -933,502 +748,5 @@ impl EngineCtx<'_> {
             self.end_step();
         }
         Ok(ingested)
-    }
-
-    /// Runs a wave of units over pairwise-distinct nodes on `workers`
-    /// scoped threads, then returns each unit's outcome in wave order.
-    /// Only the node-local units run in parallel; all routing and health
-    /// bookkeeping stays with the caller, in wave order.
-    fn run_wave_parallel(
-        &mut self,
-        wave: Vec<(NodeId, Task)>,
-        workers: usize,
-    ) -> Vec<(NodeId, Result<(), CoreError>, Vec<DataItem>)> {
-        let now = self.now;
-        let ids: BTreeSet<NodeId> = wave.iter().map(|(id, _)| *id).collect();
-        let mut by_id: BTreeMap<NodeId, &mut Node> = self
-            .graph
-            .nodes_iter_mut()
-            .filter(|(id, _)| ids.contains(id))
-            .map(|(id, node)| (*id, node))
-            .collect();
-        let mut cells: Vec<Cell<'_>> = wave
-            .into_iter()
-            .map(|(id, task)| {
-                let node = by_id.remove(&id);
-                let name = node
-                    .as_ref()
-                    .map(|n| n.descriptor.name.clone())
-                    .unwrap_or_else(|| format!("{id:?}"));
-                Cell {
-                    id,
-                    name,
-                    node,
-                    task: Some(task),
-                    out: Vec::new(),
-                    result: Ok(()),
-                }
-            })
-            .collect();
-        let per_worker = cells.len().div_ceil(workers.max(1));
-        std::thread::scope(|scope| {
-            for chunk in cells.chunks_mut(per_worker.max(1)) {
-                scope.spawn(move || {
-                    for cell in chunk {
-                        run_cell(cell, now);
-                    }
-                });
-            }
-        });
-        cells.into_iter().map(|c| (c.id, c.result, c.out)).collect()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sequential
-// ---------------------------------------------------------------------
-
-/// The historical engine, made explicit: sources tick in id order, the
-/// queue drains strictly FIFO, one node at a time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Sequential;
-
-impl Executor for Sequential {
-    fn mode(&self) -> ExecMode {
-        ExecMode::Sequential
-    }
-
-    fn step(
-        &mut self,
-        ctx: &mut EngineCtx<'_>,
-        pending: Vec<(NodeId, DataItem)>,
-    ) -> Result<(), CoreError> {
-        let mut queue = RunQueue::default();
-        ctx.drain_prelude(pending, &mut queue)?;
-        ctx.run_sequential(&mut queue)?;
-        ctx.end_step();
-        Ok(())
-    }
-
-    fn step_batch(
-        &mut self,
-        ctx: &mut EngineCtx<'_>,
-        mut pending: Vec<(NodeId, DataItem)>,
-        steps: u64,
-        tick: SimDuration,
-    ) -> Result<(), CoreError> {
-        // Hoisted across the whole batch: the source list (structure
-        // cannot change mid-batch), the FIFO queue and the per-unit
-        // routing scratch. The inner loop then allocates nothing of its
-        // own — per-item cost is the unit itself plus ring pushes.
-        let sources = ctx.graph.sources();
-        let mut queue = RunQueue::default();
-        let mut scratch = Scratch::default();
-        for _ in 0..steps {
-            ctx.drain_prelude(std::mem::take(&mut pending), &mut queue)?;
-            ctx.run_sequential_from(&sources, &mut queue, &mut scratch)?;
-            ctx.now += tick;
-            ctx.end_step();
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// LevelParallel
-// ---------------------------------------------------------------------
-
-/// Runs independent nodes of each FIFO wave on scoped worker threads.
-///
-/// A *wave* is the longest prefix of the item queue whose entries
-/// address pairwise-distinct nodes. Because graph levels never place a
-/// node and its (transitive) producer in one wave prefix — an entry only
-/// enters the queue after its producer routed it — wave members are
-/// mutually independent and their node-local units can run concurrently.
-/// All routing and all health bookkeeping happen serially in wave order,
-/// so every externally observable result matches [`Sequential`].
-///
-/// Cheap graphs stay cheap: with one worker, a single-entry wave, or a
-/// linear pipeline (topological level width 1) the executor runs the
-/// plain sequential path without spawning anything — this bounds the
-/// overhead on graphs that cannot benefit.
-#[derive(Debug, Clone, Copy)]
-pub struct LevelParallel {
-    /// Worker-thread cap, resolved at construction. Probing
-    /// `available_parallelism` is *not* free on Linux (it re-reads the
-    /// cgroup quota files), so it must never sit on the per-step path.
-    workers: usize,
-}
-
-impl Default for LevelParallel {
-    fn default() -> Self {
-        LevelParallel::new()
-    }
-}
-
-impl LevelParallel {
-    /// A level-parallel executor sized to the machine.
-    pub fn new() -> Self {
-        LevelParallel::with_workers(0)
-    }
-
-    /// Caps the worker-thread count (0 = all available cores).
-    pub fn with_workers(workers: usize) -> Self {
-        let workers = if workers > 0 {
-            workers
-        } else {
-            machine_parallelism()
-        };
-        LevelParallel { workers }
-    }
-}
-
-/// The machine's effective core count: `available_parallelism`, which
-/// honours cgroup CPU quotas and affinity masks, falling back to 1 when
-/// the probe fails. Probing is *not* free on Linux (it re-reads the
-/// cgroup quota files), so callers must resolve once at construction —
-/// never on a per-step or per-round path. Shared by
-/// [`LevelParallel::with_workers`], the fleet's work-stealing scheduler
-/// ([`crate::fleet::FleetScheduler`]) and benchmark metadata.
-pub fn machine_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-impl LevelParallel {
-    /// Drains one step's queue to quiescence: wave extraction, parallel
-    /// units, serial routing. Shared by [`Executor::step`] and
-    /// [`Executor::step_batch`].
-    fn drain_waves(
-        &mut self,
-        ctx: &mut EngineCtx<'_>,
-        queue: &mut RunQueue,
-        scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        let workers = self.workers;
-        // A linear process or a single worker cannot win anything from
-        // scheduling — take the zero-overhead path.
-        if workers <= 1 || ctx.graph.level_width() <= 1 {
-            let sources = ctx.graph.sources();
-            return ctx.run_sequential_from(&sources, queue, scratch);
-        }
-
-        // Source phase: quarantine-filter serially in id order, tick the
-        // survivors in parallel, then route + settle in id order.
-        let mut live_sources = Vec::new();
-        for src in ctx.graph.sources() {
-            if !ctx.health.is_quarantined(src, ctx.now) {
-                live_sources.push(src);
-            }
-        }
-        if live_sources.len() <= 1 {
-            for src in live_sources {
-                ctx.run_source_inline(src, queue, scratch)?;
-            }
-        } else {
-            let wave = live_sources
-                .into_iter()
-                .map(|id| (id, Task::Tick))
-                .collect();
-            for (id, unit, mut out) in ctx.run_wave_parallel(wave, workers) {
-                ctx.finish_unit(id, unit, &mut out, queue)?;
-            }
-        }
-
-        // Queue phase: repeatedly take the longest distinct-node prefix
-        // of the queue as a wave. Per-node delivery order and routing
-        // order stay exactly FIFO.
-        while !queue.is_empty() {
-            let mut wave: Vec<Entry> = Vec::new();
-            let mut in_wave: BTreeSet<NodeId> = BTreeSet::new();
-            while let Some((node, _, _)) = queue.front() {
-                if in_wave.contains(node) {
-                    break;
-                }
-                let (node, port, item) = queue.pop_front().expect("front checked");
-                // Items addressed to a quarantined node are dropped, as
-                // the sequential drain does at pop time.
-                if ctx.health.is_quarantined(node, ctx.now) {
-                    continue;
-                }
-                in_wave.insert(node);
-                wave.push((node, port, item));
-            }
-            if wave.len() <= 1 {
-                if let Some((node, port, item)) = wave.pop() {
-                    ctx.run_entry_inline(node, port, item, queue, scratch)?;
-                }
-                continue;
-            }
-            let tasks = wave
-                .into_iter()
-                .map(|(id, port, item)| (id, Task::Input(port, item)))
-                .collect();
-            for (id, unit, mut out) in ctx.run_wave_parallel(tasks, workers) {
-                ctx.finish_unit(id, unit, &mut out, queue)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// PermutedParallel — the schedule-permutation sanitizer
-// ---------------------------------------------------------------------
-
-/// A loom-lite *schedule-permutation* executor: forms exactly the waves
-/// [`LevelParallel`] would, but runs each wave's node-local units
-/// serially in a seeded pseudo-random order instead of concurrently,
-/// while routing and health settlement stay in original wave order.
-///
-/// [`LevelParallel`]'s determinism contract rests on wave members
-/// commuting — no shared state between same-wave components (what the
-/// analysis layer's P017 lint checks statically). This executor turns
-/// that assumption into something *testable*: for an interference-free
-/// graph every seed yields byte-identical channel trees, sink
-/// deliveries and health outcomes (unit order between independent nodes
-/// is unobservable); a graph whose same-wave components do share state
-/// diverges across seeds deterministically — no thread-timing luck
-/// required, unlike racing real workers. `tests/schedule_permutation.rs`
-/// runs both directions against the P017 lint.
-///
-/// This is a sanitizer, not a production scheduler: units run serially,
-/// so it buys adversarial schedule coverage, not wall-clock.
-#[derive(Debug, Clone, Copy)]
-pub struct PermutedParallel {
-    /// splitmix64 state driving the per-wave Fisher–Yates shuffle.
-    rng: u64,
-    /// Waves with ≥ 2 members seen so far — i.e. how many shuffles the
-    /// run actually exercised. A permutation test asserting on a graph
-    /// that never forms a multi-entry wave proves nothing; suites check
-    /// this counter to keep themselves honest.
-    permuted_waves: u64,
-}
-
-impl PermutedParallel {
-    /// A permutation executor driven by `seed`. Equal seeds replay the
-    /// exact same schedule; different seeds explore different unit
-    /// orders.
-    pub fn with_seed(seed: u64) -> Self {
-        PermutedParallel {
-            // splitmix64 tolerates any seed, including 0.
-            rng: seed,
-            permuted_waves: 0,
-        }
-    }
-
-    /// How many multi-entry waves (actual shuffles) ran so far.
-    pub fn permuted_waves(&self) -> u64 {
-        self.permuted_waves
-    }
-
-    /// splitmix64 — tiny, seedable, and plenty for shuffling.
-    fn next_u64(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Seeded Fisher–Yates over the wave's unit indices.
-    fn shuffled_order(&mut self, len: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..len).collect();
-        for i in (1..len).rev() {
-            let j = (self.next_u64() % (i as u64 + 1)) as usize;
-            order.swap(i, j);
-        }
-        order
-    }
-
-    /// Runs a wave's units serially in shuffled order, returning the
-    /// outcomes in *original* wave order (the caller routes and settles
-    /// in that order, exactly like [`EngineCtx::run_wave_parallel`]).
-    fn run_wave_permuted(
-        &mut self,
-        ctx: &mut EngineCtx<'_>,
-        wave: Vec<(NodeId, Task)>,
-    ) -> Vec<(NodeId, Result<(), CoreError>, Vec<DataItem>)> {
-        if wave.len() > 1 {
-            self.permuted_waves += 1;
-        }
-        let order = self.shuffled_order(wave.len());
-        let mut slots: Vec<(NodeId, Option<Task>)> = wave
-            .into_iter()
-            .map(|(id, task)| (id, Some(task)))
-            .collect();
-        let mut results: Vec<Option<UnitOutcome>> = slots.iter().map(|_| None).collect();
-        let now = ctx.now;
-        for i in order {
-            let (id, task) = (slots[i].0, slots[i].1.take());
-            let name = ctx.node_name(id);
-            let mut out = Vec::new();
-            let unit = match ctx.graph.node_mut(id) {
-                None => Err(CoreError::UnknownNode(id)),
-                Some(node) => {
-                    let mut emit = Vec::new();
-                    let caught = catch_unwind(AssertUnwindSafe(|| match task {
-                        Some(Task::Tick) | None => tick_unit(node, now, &mut out, &mut emit, None),
-                        Some(Task::Input(port, item)) => {
-                            input_unit(node, port, item, now, &mut out, &mut emit, None)
-                        }
-                    }));
-                    match caught {
-                        Ok(r) => r,
-                        Err(payload) => Err(CoreError::ComponentFailure {
-                            component: name,
-                            reason: format!("panic: {}", panic_message(payload.as_ref())),
-                        }),
-                    }
-                }
-            };
-            results[i] = Some((unit, out));
-        }
-        slots
-            .into_iter()
-            .zip(results)
-            .map(|((id, _), r)| {
-                let (unit, out) = r.expect("every wave index ran exactly once");
-                (id, unit, out)
-            })
-            .collect()
-    }
-
-    /// Wave extraction identical to [`LevelParallel::drain_waves`], with
-    /// the parallel unit phase replaced by the permuted serial one.
-    fn drain_waves_permuted(
-        &mut self,
-        ctx: &mut EngineCtx<'_>,
-        queue: &mut RunQueue,
-        scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        // Source phase: quarantine-filter serially in id order, run the
-        // survivors' ticks in permuted order, route + settle in id order.
-        let mut live_sources = Vec::new();
-        for src in ctx.graph.sources() {
-            if !ctx.health.is_quarantined(src, ctx.now) {
-                live_sources.push(src);
-            }
-        }
-        if live_sources.len() <= 1 {
-            for src in live_sources {
-                ctx.run_source_inline(src, queue, scratch)?;
-            }
-        } else {
-            let wave = live_sources
-                .into_iter()
-                .map(|id| (id, Task::Tick))
-                .collect();
-            for (id, unit, mut out) in self.run_wave_permuted(ctx, wave) {
-                ctx.finish_unit(id, unit, &mut out, queue)?;
-            }
-        }
-
-        // Queue phase: longest distinct-node prefix waves, exactly as
-        // LevelParallel forms them.
-        while !queue.is_empty() {
-            let mut wave: Vec<Entry> = Vec::new();
-            let mut in_wave: BTreeSet<NodeId> = BTreeSet::new();
-            while let Some((node, _, _)) = queue.front() {
-                if in_wave.contains(node) {
-                    break;
-                }
-                let (node, port, item) = queue.pop_front().expect("front checked");
-                if ctx.health.is_quarantined(node, ctx.now) {
-                    continue;
-                }
-                in_wave.insert(node);
-                wave.push((node, port, item));
-            }
-            if wave.len() <= 1 {
-                if let Some((node, port, item)) = wave.pop() {
-                    ctx.run_entry_inline(node, port, item, queue, scratch)?;
-                }
-                continue;
-            }
-            let tasks = wave
-                .into_iter()
-                .map(|(id, port, item)| (id, Task::Input(port, item)))
-                .collect();
-            for (id, unit, mut out) in self.run_wave_permuted(ctx, tasks) {
-                ctx.finish_unit(id, unit, &mut out, queue)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Executor for PermutedParallel {
-    fn mode(&self) -> ExecMode {
-        ExecMode::LevelParallel
-    }
-
-    fn step(
-        &mut self,
-        ctx: &mut EngineCtx<'_>,
-        pending: Vec<(NodeId, DataItem)>,
-    ) -> Result<(), CoreError> {
-        let mut queue = RunQueue::default();
-        let mut scratch = Scratch::default();
-        ctx.drain_prelude(pending, &mut queue)?;
-        self.drain_waves_permuted(ctx, &mut queue, &mut scratch)?;
-        ctx.end_step();
-        Ok(())
-    }
-
-    fn step_batch(
-        &mut self,
-        ctx: &mut EngineCtx<'_>,
-        mut pending: Vec<(NodeId, DataItem)>,
-        steps: u64,
-        tick: SimDuration,
-    ) -> Result<(), CoreError> {
-        let mut queue = RunQueue::default();
-        let mut scratch = Scratch::default();
-        for _ in 0..steps {
-            ctx.drain_prelude(std::mem::take(&mut pending), &mut queue)?;
-            self.drain_waves_permuted(ctx, &mut queue, &mut scratch)?;
-            ctx.now += tick;
-            ctx.end_step();
-        }
-        Ok(())
-    }
-}
-
-impl Executor for LevelParallel {
-    fn mode(&self) -> ExecMode {
-        ExecMode::LevelParallel
-    }
-
-    fn step(
-        &mut self,
-        ctx: &mut EngineCtx<'_>,
-        pending: Vec<(NodeId, DataItem)>,
-    ) -> Result<(), CoreError> {
-        let mut queue = RunQueue::default();
-        let mut scratch = Scratch::default();
-        ctx.drain_prelude(pending, &mut queue)?;
-        self.drain_waves(ctx, &mut queue, &mut scratch)?;
-        ctx.end_step();
-        Ok(())
-    }
-
-    fn step_batch(
-        &mut self,
-        ctx: &mut EngineCtx<'_>,
-        mut pending: Vec<(NodeId, DataItem)>,
-        steps: u64,
-        tick: SimDuration,
-    ) -> Result<(), CoreError> {
-        let mut queue = RunQueue::default();
-        let mut scratch = Scratch::default();
-        for _ in 0..steps {
-            ctx.drain_prelude(std::mem::take(&mut pending), &mut queue)?;
-            self.drain_waves(ctx, &mut queue, &mut scratch)?;
-            ctx.now += tick;
-            ctx.end_step();
-        }
-        Ok(())
     }
 }

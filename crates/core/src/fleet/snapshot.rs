@@ -20,7 +20,6 @@
 use crate::channel::ChannelLayerSnapshot;
 use crate::data::{DataItem, Value};
 use crate::distribution::Deployment;
-use crate::executor::ExecMode;
 use crate::graph::{NodeId, ProcessingGraph};
 use crate::supervision::HealthRegistry;
 use crate::SimTime;
@@ -29,11 +28,11 @@ use crate::SimTime;
 ///
 /// Version rules: the number is bumped whenever the captured state's
 /// shape changes incompatibly (a field added to the channel ring state,
-/// a different health-registry layout, …).
+/// a different health-registry layout, a field dropped, …).
 /// [`Middleware::restore`](crate::Middleware::restore) rejects
 /// snapshots whose version differs from the build's — a fleet never
 /// silently resumes from a checkpoint it may misinterpret.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Structural identity of one node, used to verify that a snapshot is
 /// restored into the graph it was taken from.
@@ -72,7 +71,6 @@ pub struct Snapshot {
     pub(crate) structure: Vec<NodeSignature>,
     pub(crate) now: SimTime,
     pub(crate) steps_run: u64,
-    pub(crate) exec_mode: ExecMode,
     pub(crate) channels: ChannelLayerSnapshot,
     pub(crate) health: HealthRegistry,
     pub(crate) pending: Vec<(NodeId, DataItem)>,

@@ -59,7 +59,7 @@ pub mod component;
 pub mod data;
 pub mod distribution;
 mod error;
-pub mod executor;
+mod executor;
 pub mod feature;
 pub mod fleet;
 pub mod graph;
@@ -89,11 +89,10 @@ pub mod prelude {
         kinds, ArenaStats, Attrs, DataItem, DataKind, InternedKey, Payload, PayloadArena,
         PayloadRef, Position, Value,
     };
-    pub use crate::executor::{machine_parallelism, ExecMode, Executor, LevelParallel, Sequential};
     pub use crate::feature::{ComponentFeature, FeatureAction, FeatureDescriptor, FeatureHost};
     pub use crate::fleet::{
-        FleetConfig, FleetPool, FleetScheduler, FleetStats, FleetTotals, ShardState, ShardStats,
-        Snapshot, SNAPSHOT_VERSION,
+        machine_parallelism, FleetConfig, FleetPool, FleetScheduler, FleetStats, FleetTotals,
+        ShardState, ShardStats, Snapshot, SNAPSHOT_VERSION,
     };
     pub use crate::graph::{NodeId, ProcessingGraph};
     pub use crate::middleware::Middleware;

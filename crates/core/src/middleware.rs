@@ -23,7 +23,7 @@ use crate::channel::{
 use crate::component::{Component, MethodSpec};
 use crate::data::{ArenaStats, DataItem, DataKind, PayloadArena, Value};
 use crate::distribution::Deployment;
-use crate::executor::{executor_for, EngineCtx, ExecMode, Executor};
+use crate::executor::EngineCtx;
 use crate::feature::ComponentFeature;
 use crate::fleet::snapshot::{structure_signature, Snapshot, SNAPSHOT_VERSION};
 use crate::graph::{NodeId, NodeInfo, ProcessingGraph};
@@ -90,11 +90,8 @@ pub struct Middleware {
     /// Failover providers re-resolved against pipeline health after
     /// every step.
     failovers: Vec<Arc<FailoverShared>>,
-    /// The scheduling policy running each step (paper translucency
-    /// applied to execution: inspectable and swappable at runtime).
-    executor: Box<dyn Executor>,
     /// Per-shard slab of recycled payload slots, keyed by step count.
-    /// Sequential/batched unit paths intern owned-value emissions here;
+    /// The engine interns owned-value emissions here;
     /// retired generations recycle their slots instead of freeing them.
     arena: PayloadArena,
     /// Whether the engine hands the arena to steps. Off, every emission
@@ -139,7 +136,6 @@ impl Middleware {
             deployment: None,
             health: HealthRegistry::default(),
             failovers: Vec::new(),
-            executor: executor_for(ExecMode::Sequential),
             arena: PayloadArena::new(),
             arena_enabled: true,
         }
@@ -323,30 +319,6 @@ impl Middleware {
                 return Err(CoreError::UnknownNode(id));
             }
             return Ok(self.health.health(id).to_value());
-        }
-        if method == "executor" {
-            if !self.graph.contains(id) {
-                return Err(CoreError::UnknownNode(id));
-            }
-            return Ok(Value::from(self.executor.mode().as_str()));
-        }
-        if method == "set_executor" {
-            if !self.graph.contains(id) {
-                return Err(CoreError::UnknownNode(id));
-            }
-            let name =
-                args.first()
-                    .and_then(|v| v.as_text())
-                    .ok_or_else(|| CoreError::BadArguments {
-                        method: "set_executor".into(),
-                        reason: "expected one text argument naming the mode".into(),
-                    })?;
-            let mode = ExecMode::from_name(name).ok_or_else(|| CoreError::BadArguments {
-                method: "set_executor".into(),
-                reason: format!("unknown executor mode {name:?}"),
-            })?;
-            self.set_executor(mode);
-            return Ok(Value::Null);
         }
         if method == "channel_stats" {
             if !self.graph.contains(id) {
@@ -857,12 +829,15 @@ impl Middleware {
             structure: structure_signature(&self.graph),
             now: self.clock.now(),
             steps_run: self.steps_run,
-            exec_mode: self.executor.mode(),
             channels: self.channels.snapshot(),
             health: self.health.clone(),
             // Snapshot seam: captured items must not carry provenance
             // into arena slots the restored instance will never own.
-            pending: self.pending.iter().map(|(n, i)| (*n, i.detached())).collect(),
+            pending: self
+                .pending
+                .iter()
+                .map(|(n, i)| (*n, i.detached()))
+                .collect(),
             deployment: self.deployment.clone(),
             component_state,
             feature_state,
@@ -910,7 +885,6 @@ impl Middleware {
         self.pending = snap.pending.clone();
         self.health = snap.health.clone();
         self.deployment = snap.deployment.clone();
-        self.set_executor(snap.exec_mode);
         for (id, state) in &snap.component_state {
             if let Some(node) = self.graph.node_mut(*id) {
                 node.component.restore_state(state);
@@ -947,50 +921,33 @@ impl Middleware {
     /// of nodes under any other policy are contained.
     pub fn step(&mut self) -> Result<(), CoreError> {
         let now = self.clock.now();
-        self.steps_run += 1;
         let pending = std::mem::take(&mut self.pending);
-        let arena = self.arena_enabled.then_some(&mut self.arena);
-        let mut ctx = EngineCtx::new(
-            &mut self.graph,
-            &mut self.channels,
-            &mut self.health,
-            self.deployment.as_mut(),
-            now,
-            arena,
-            self.steps_run - 1,
-        );
-        self.executor.step(&mut ctx, pending)?;
+        let result = self.engine().step_batch(pending, 1, SimDuration::ZERO);
+        // A failed step still counts as run.
+        self.steps_run += 1;
+        result?;
         self.update_failovers(now);
         Ok(())
     }
 
-    /// Selects the execution policy for subsequent steps (default:
-    /// [`ExecMode::Sequential`]). Both policies produce identical
-    /// channel data trees and health outcomes for the same trace; see
-    /// [`crate::executor`] for the contract and its caveats.
-    pub fn set_executor(&mut self, mode: ExecMode) {
-        if self.executor.mode() != mode {
-            self.executor = executor_for(mode);
-        }
-    }
-
-    /// The active execution mode.
-    pub fn executor_mode(&self) -> ExecMode {
-        self.executor.mode()
-    }
-
-    /// Installs a specific executor instance, for callers that need
-    /// more than a mode name — e.g.
-    /// [`LevelParallel::with_workers`](crate::executor::LevelParallel::with_workers)
-    /// to force a worker count regardless of the machine.
-    pub fn install_executor(&mut self, executor: Box<dyn Executor>) {
-        self.executor = executor;
+    /// The engine over this instance's state, starting at the current
+    /// time; the step counter seeds the arena watermark.
+    fn engine(&mut self) -> EngineCtx<'_> {
+        EngineCtx::new(
+            &mut self.graph,
+            &mut self.channels,
+            &mut self.health,
+            self.deployment.as_mut(),
+            self.clock.now(),
+            self.arena_enabled.then_some(&mut self.arena),
+            self.steps_run,
+        )
     }
 
     /// Runs `steps` engine steps back to back, advancing the clock by
     /// `tick` after every completed step — equivalent to a
     /// [`Middleware::step`]/[`Middleware::advance_clock`] loop, but the
-    /// whole batch runs inside one executor entry, hoisting per-step
+    /// whole batch runs inside one engine entry, hoisting per-step
     /// setup (source lists, queues, routing scratch) out of the inner
     /// loop. Failover providers force the step-by-step path, since they
     /// re-resolve against pipeline health after every step.
@@ -1013,18 +970,9 @@ impl Middleware {
         }
         let start = self.clock.now();
         let pending = std::mem::take(&mut self.pending);
-        let arena = self.arena_enabled.then_some(&mut self.arena);
-        let mut ctx = EngineCtx::new(
-            &mut self.graph,
-            &mut self.channels,
-            &mut self.health,
-            self.deployment.as_mut(),
-            start,
-            arena,
-            self.steps_run,
-        );
-        let result = self.executor.step_batch(&mut ctx, pending, steps, tick);
-        // The executor advances ctx.now past each completed step, so the
+        let mut ctx = self.engine();
+        let result = ctx.step_batch(pending, steps, tick);
+        // The engine advances ctx.now past each completed step, so the
         // elapsed time recovers the completed-step count on error.
         let elapsed = ctx.now.since(start);
         let completed = elapsed.as_micros() / tick.as_micros();
@@ -1058,19 +1006,8 @@ impl Middleware {
     ) -> Result<u64, CoreError> {
         let start = self.clock.now();
         let pending = std::mem::take(&mut self.pending);
-        let arena = self.arena_enabled.then_some(&mut self.arena);
-        let mut ctx = EngineCtx::new(
-            &mut self.graph,
-            &mut self.channels,
-            &mut self.health,
-            self.deployment.as_mut(),
-            start,
-            arena,
-            self.steps_run,
-        );
-        let result = self
-            .executor
-            .ingest_batch(&mut ctx, pending, source, &kind, lines, tick);
+        let mut ctx = self.engine();
+        let result = ctx.ingest_batch(pending, source, &kind, lines, tick);
         let elapsed = ctx.now.since(start);
         self.clock.advance(elapsed);
         // On a propagated fault the completed-line count is recovered
@@ -1155,6 +1092,35 @@ mod tests {
         assert!(provider.last_position().is_some());
         assert_eq!(provider.delivered_count(), 10);
         assert_eq!(mw.steps_run(), 10);
+    }
+
+    #[test]
+    fn restore_refuses_a_snapshot_of_another_version() {
+        let mut mw = Middleware::new();
+        let src = position_source(&mut mw, "gps", 56.0, 10.0);
+        let app = mw.application_sink();
+        mw.connect(src, app, 0).unwrap();
+        let mut snap = mw.snapshot();
+        mw.run_for(SimDuration::from_secs(1), SimDuration::from_millis(100))
+            .unwrap();
+        // Version 1 snapshots recorded an execution mode; the current
+        // format does not, so neither an older nor a newer one may load.
+        for version in [SNAPSHOT_VERSION - 1, SNAPSHOT_VERSION + 1] {
+            snap.version = version;
+            match mw.restore(&snap) {
+                Err(CoreError::ComponentFailure { component, reason }) => {
+                    assert_eq!(component, "snapshot");
+                    assert!(reason.contains(&format!("version {version}")), "{reason}");
+                }
+                other => panic!("version {version} restored: {other:?}"),
+            }
+            // Refused without touching the instance.
+            assert_eq!(mw.steps_run(), 10);
+            assert_eq!(mw.now(), SimTime::ZERO + SimDuration::from_secs(1));
+        }
+        snap.version = SNAPSHOT_VERSION;
+        mw.restore(&snap).unwrap();
+        assert_eq!(mw.steps_run(), 0);
     }
 
     #[test]

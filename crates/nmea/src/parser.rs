@@ -111,7 +111,10 @@ fn parse_time(text: &str) -> Result<NmeaTime, NmeaError> {
     }
     let millis = if let Some(frac) = text.get(6..).filter(|f| f.starts_with('.')) {
         let frac_val = parse_finite(frac).ok_or_else(bad)?;
-        (frac_val * 1000.0).round() as u16
+        // Saturate: a fraction that rounds up to a whole second (e.g.
+        // `.9996`) must not produce 1000 ms, which `NmeaTime` and the
+        // encoder's three-digit field cannot represent.
+        ((frac_val * 1000.0).round() as u16).min(999)
     } else {
         0
     };
@@ -480,6 +483,26 @@ mod tests {
     fn fractional_seconds_parse() {
         let t = parse_time("123519.75").unwrap();
         assert_eq!(t.millis, 750);
+    }
+
+    #[test]
+    fn fraction_rounding_up_to_a_second_saturates_at_999_ms() {
+        let body = "GPGGA,123519.9996,4807.038,N,01131.000,E,1,08,0.9,545.4,M,46.9,M,,";
+        let line = format!("${body}*{:02X}", checksum(body));
+        let Sentence::Gga(g) = parse_sentence(&line).unwrap() else {
+            panic!("not GGA");
+        };
+        assert_eq!(g.time, NmeaTime::new(12, 35, 19, 999));
+        assert_eq!(g.time.to_string(), "12:35:19.999");
+
+        // Encode -> parse keeps the time: the encoder writes `.999`,
+        // not `.1000` (which would read back as 100 ms).
+        let encoded = Sentence::Gga(g.clone()).to_nmea_string();
+        assert!(encoded.contains(",123519.999,"), "{encoded}");
+        let Sentence::Gga(back) = parse_sentence(&encoded).unwrap() else {
+            panic!("not GGA");
+        };
+        assert_eq!(back.time, g.time);
     }
 
     mod fuzz {

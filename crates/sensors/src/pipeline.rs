@@ -220,7 +220,10 @@ impl Component for Resolver {
                         reason: "expected one int".into(),
                     }
                 })?;
-                self.floor = level as i32;
+                self.floor = i32::try_from(level).map_err(|_| CoreError::BadArguments {
+                    method: method.to_string(),
+                    reason: format!("floor {level} is out of range"),
+                })?;
                 Ok(Value::Null)
             }
             "getFloor" => Ok(Value::Int(i64::from(self.floor))),
@@ -747,6 +750,23 @@ mod tests {
             .unwrap()
             .is_empty());
         assert_eq!(r.invoke("getFloor", &[]).unwrap(), Value::Int(5));
+    }
+
+    #[test]
+    fn resolver_rejects_floors_outside_i32() {
+        let mut r = Resolver::new(Arc::new(demo_building()));
+        r.invoke("setFloor", &[Value::Int(3)]).unwrap();
+        // 2^32 + 1 would truncate to floor 1.
+        for level in [4_294_967_297, i64::from(i32::MIN) - 1] {
+            match r.invoke("setFloor", &[Value::Int(level)]) {
+                Err(CoreError::BadArguments { method, .. }) => assert_eq!(method, "setFloor"),
+                other => panic!("setFloor({level}) accepted: {other:?}"),
+            }
+            assert_eq!(r.invoke("getFloor", &[]).unwrap(), Value::Int(3));
+        }
+        // Basement floors are valid.
+        r.invoke("setFloor", &[Value::Int(-2)]).unwrap();
+        assert_eq!(r.invoke("getFloor", &[]).unwrap(), Value::Int(-2));
     }
 
     #[test]

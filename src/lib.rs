@@ -17,7 +17,7 @@
 //! | [`fusion`] | `perpos-fusion` | particle filter, Likelihood channel feature, Kalman/centroid baselines |
 //! | [`energy`] | `perpos-energy` | power models and the EnTracked strategy |
 //! | [`baselines`] | `perpos-baselines` | Location-Stack- and PoSIM-style comparison middlewares |
-//! | [`analysis`] | `perpos-analysis` | whole-graph static analysis (P001–P019), adaptation safety, `perpos-lint` |
+//! | [`analysis`] | `perpos-analysis` | whole-graph static analysis (P001–P020), adaptation safety, `perpos-lint` |
 //!
 //! See `examples/` for runnable scenarios (start with
 //! `cargo run --example quickstart`) and `DESIGN.md` / `EXPERIMENTS.md`

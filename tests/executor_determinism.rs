@@ -1,16 +1,16 @@
-//! Executor determinism suite: the [`Sequential`] and [`LevelParallel`]
-//! executors must be *observationally identical* — byte-identical
-//! channel data trees, identical provider delivery history, and
-//! identical per-node health records for the same trace, including
-//! traces with injected panics and errors. This is the contract that
-//! makes the execution policy a pure performance knob: switching it can
-//! never change what the positioning process computes.
+//! Engine determinism suite: the engine's two ways of executing a run —
+//! a [`Middleware::step`] loop and one [`Middleware::step_batch`] call,
+//! which hoists the source list, queue and routing scratch across steps
+//! — must be *observationally identical*: byte-identical channel data
+//! trees, identical provider delivery history, and identical per-node
+//! health records for the same trace, including traces with injected
+//! panics and errors. Batching is a pure performance knob: it can never
+//! change what the positioning process computes.
 
 #![allow(clippy::unwrap_used)]
 use std::any::Any;
 
 use perpos::core::channel::{ChannelFeature, ChannelHost, DataTree};
-use perpos::core::executor::LevelParallel;
 use perpos::prelude::*;
 
 /// A Channel Feature that records the exact rendered form of every data
@@ -40,7 +40,7 @@ impl ChannelFeature for TreeLog {
 
 /// A stateful Component Feature tagging each produced item with a
 /// sequence number — exercises the copy-on-write attribute path and the
-/// per-node feature-call ordering under parallel execution.
+/// per-node feature-call ordering across steps.
 struct SeqTag {
     next: i64,
 }
@@ -64,8 +64,8 @@ impl ComponentFeature for SeqTag {
 }
 
 /// A two-port merge that XOR-folds whichever branch delivers — arrival
-/// *order* at a merge is exactly what a wrong parallel schedule would
-/// scramble, so its output is a sensitive determinism probe.
+/// *order* at a merge is exactly what a wrong schedule would scramble,
+/// so its output is a sensitive determinism probe.
 struct XorMerge;
 
 impl Component for XorMerge {
@@ -120,21 +120,17 @@ struct Observed {
     history: String,
     health: Vec<String>,
     steps: u64,
+    now: SimTime,
 }
 
 /// Builds the shared scenario — three sources, two branches merging
 /// into a two-port processor, a third independent branch, a stateful
-/// feature on one branch — runs it for 100 steps and collects every
-/// observable. `faulty` additionally injects seeded panics and errors
-/// under `DropItem` and `Quarantine` policies.
-fn run_scenario(parallel: bool, faulty: bool) -> Observed {
+/// feature on one branch — runs it for 100 steps, as one `step_batch`
+/// call when `batched` and as a `step` loop otherwise, and collects
+/// every observable. `faulty` additionally injects seeded panics and
+/// errors under `DropItem` and `Quarantine` policies.
+fn run_scenario(batched: bool, faulty: bool) -> Observed {
     let mut mw = Middleware::new();
-    if parallel {
-        // An explicit worker count: the auto default would fall back to
-        // the sequential path on a single-core machine, and this suite
-        // exists to exercise the parallel wave machinery.
-        mw.install_executor(Box::new(LevelParallel::with_workers(4)));
-    }
     let src_a = mw.add_component(source("src-a", 1));
     let src_b = mw.add_component(source("src-b", 10));
     let src_c = mw.add_component(source("src-c", 100));
@@ -174,8 +170,15 @@ fn run_scenario(parallel: bool, faulty: bool) -> Observed {
         mw.attach_channel_feature(ch, TreeLog::default()).unwrap();
     }
     let provider = mw.location_provider(Criteria::new()).unwrap();
-    mw.run_for(SimDuration::from_secs(10), SimDuration::from_millis(100))
-        .unwrap();
+    let tick = SimDuration::from_millis(100);
+    if batched {
+        mw.step_batch(100, tick).unwrap();
+    } else {
+        for _ in 0..100 {
+            mw.step().unwrap();
+            mw.advance_clock(tick);
+        }
+    }
 
     let trees = channels
         .iter()
@@ -194,42 +197,44 @@ fn run_scenario(parallel: bool, faulty: bool) -> Observed {
         history: format!("{:?}", provider.history()),
         health,
         steps: mw.steps_run(),
+        now: mw.now(),
     }
 }
 
 #[test]
 fn executors_produce_identical_data_trees() {
-    let seq = run_scenario(false, false);
-    let par = run_scenario(true, false);
+    let looped = run_scenario(false, false);
+    let batched = run_scenario(true, false);
     assert!(
-        seq.trees.iter().any(|t| !t.is_empty()),
-        "scenario must actually derive trees: {seq:?}"
+        looped.trees.iter().all(|t| !t.is_empty()),
+        "every channel must derive trees: {looped:?}"
     );
-    assert!(!seq.history.is_empty());
-    assert_eq!(seq, par);
+    assert!(!looped.history.is_empty());
+    assert_eq!(looped.steps, 100);
+    assert_eq!(looped, batched);
 }
 
 #[test]
 fn executors_agree_under_injected_faults() {
-    let seq = run_scenario(false, true);
-    let par = run_scenario(true, true);
+    let looped = run_scenario(false, true);
+    let batched = run_scenario(true, true);
     let total_faults = |o: &Observed| o.health.iter().filter(|h| !h.contains("faults: 0")).count();
     assert!(
-        total_faults(&seq) >= 2,
+        total_faults(&looped) >= 2,
         "both injectors must have fired: {:?}",
-        seq.health
+        looped.health
     );
-    assert_eq!(seq, par);
+    assert_eq!(looped, batched);
 }
 
 #[test]
 fn healthy_branches_survive_a_quarantined_one() {
-    // Not a cross-mode comparison: a sanity check that the fault
+    // Not a loop-vs-batch comparison: a sanity check that the fault
     // scenario above still delivers data from the clean branches, so
     // the equality assertions are about a live system, not a dead one.
-    let par = run_scenario(true, true);
+    let batched = run_scenario(true, true);
     assert!(
-        par.trees.iter().any(|t| !t.is_empty()),
-        "clean branches keep deriving trees: {par:?}"
+        batched.trees.iter().any(|t| !t.is_empty()),
+        "clean branches keep deriving trees: {batched:?}"
     );
 }

@@ -1,8 +1,8 @@
 //! Checkpoint/restore determinism suite: a [`Middleware`] restored from
 //! a mid-run [`Snapshot`] and stepped to the end must be byte-identical
 //! — trees, channel history, health, clocks — to the same instance
-//! stepped without interruption. Pinned across both executors, both
-//! tree policies, with seeded panics in flight and with a Channel
+//! stepped without interruption. Pinned across both tree policies,
+//! with seeded panics in flight and with a Channel
 //! Feature attached mid-run after the restore point. This is the
 //! contract the fleet runtime's restart path relies on.
 
@@ -71,9 +71,8 @@ fn tick() -> SimDuration {
 /// The factory every scenario (and the fleet restart path) uses: a
 /// counting source with a seeded panic-injecting feature, a pass-through
 /// processor, and a history subscription on the application channel.
-fn build(mode: ExecMode, policy: TreePolicy) -> (Middleware, NodeId, ChannelId) {
+fn build(policy: TreePolicy) -> (Middleware, NodeId, ChannelId) {
     let mut mw = Middleware::new();
-    mw.set_executor(mode);
     mw.set_tree_policy(policy);
     let src = mw.add_boxed_component(Box::new(CountingSource(0)));
     mw.attach_feature(src, FaultInjector::with_seed(0xcafe).with_panic_rate(0.15))
@@ -114,19 +113,18 @@ fn observe(mw: &Middleware, src: NodeId, channel: ChannelId) -> (Vec<String>, Va
     )
 }
 
-fn assert_restore_equivalence(mode: ExecMode, policy: TreePolicy) {
-    let (mut reference, ref_src, ref_chan) = build(mode, policy);
+fn assert_restore_equivalence(policy: TreePolicy) {
+    let (mut reference, ref_src, ref_chan) = build(policy);
     run(&mut reference, 40);
 
-    let (mut original, _, _) = build(mode, policy);
+    let (mut original, _, _) = build(policy);
     run(&mut original, 17);
     let snap = original.snapshot();
     assert_eq!(snap.steps_run(), 17);
 
-    let (mut restored, src, chan) = build(mode, policy);
+    let (mut restored, src, chan) = build(policy);
     restored.restore(&snap).unwrap();
     assert_eq!(restored.steps_run(), 17);
-    assert_eq!(restored.executor_mode(), mode);
     assert_eq!(restored.tree_policy(), policy);
     run(&mut restored, 23);
 
@@ -134,28 +132,18 @@ fn assert_restore_equivalence(mode: ExecMode, policy: TreePolicy) {
         observe(&reference, ref_src, ref_chan),
         observe(&restored, src, chan),
         "restore-then-step must equal the uninterrupted run \
-         ({mode:?}, {policy:?})"
+         ({policy:?})"
     );
 }
 
 #[test]
 fn restore_equivalence_sequential_lazy() {
-    assert_restore_equivalence(ExecMode::Sequential, TreePolicy::Lazy);
+    assert_restore_equivalence(TreePolicy::Lazy);
 }
 
 #[test]
 fn restore_equivalence_sequential_eager() {
-    assert_restore_equivalence(ExecMode::Sequential, TreePolicy::Eager);
-}
-
-#[test]
-fn restore_equivalence_level_parallel_lazy() {
-    assert_restore_equivalence(ExecMode::LevelParallel, TreePolicy::Lazy);
-}
-
-#[test]
-fn restore_equivalence_level_parallel_eager() {
-    assert_restore_equivalence(ExecMode::LevelParallel, TreePolicy::Eager);
+    assert_restore_equivalence(TreePolicy::Eager);
 }
 
 #[test]
@@ -164,61 +152,31 @@ fn restored_instance_accepts_mid_run_feature_attach() {
     // logical step in both runs: the trees it observes must match, even
     // under the lazy policy where the attachment itself creates the
     // materialization demand.
-    for mode in [ExecMode::Sequential, ExecMode::LevelParallel] {
-        let (mut reference, _, ref_chan) = build(mode, TreePolicy::Lazy);
-        run(&mut reference, 20);
-        reference
-            .attach_channel_feature(ref_chan, TreeLog::default())
-            .unwrap();
-        run(&mut reference, 20);
+    let (mut reference, _, ref_chan) = build(TreePolicy::Lazy);
+    run(&mut reference, 20);
+    reference
+        .attach_channel_feature(ref_chan, TreeLog::default())
+        .unwrap();
+    run(&mut reference, 20);
 
-        let (mut original, _, _) = build(mode, TreePolicy::Lazy);
-        run(&mut original, 20);
-        let snap = original.snapshot();
-        let (mut restored, _, chan) = build(mode, TreePolicy::Lazy);
-        restored.restore(&snap).unwrap();
-        restored
-            .attach_channel_feature(chan, TreeLog::default())
-            .unwrap();
-        run(&mut restored, 20);
-
-        let logs = |mw: &mut Middleware, chan| {
-            mw.with_channel_feature_mut::<TreeLog, Vec<String>>(chan, TreeLog::NAME, |f| {
-                f.0.clone()
-            })
-            .unwrap()
-        };
-        let a = logs(&mut reference, ref_chan);
-        let b = logs(&mut restored, chan);
-        assert!(!a.is_empty());
-        assert_eq!(
-            a, b,
-            "mid-run attached feature sees identical trees ({mode:?})"
-        );
-    }
-}
-
-#[test]
-fn snapshots_restore_across_executors() {
-    // A snapshot taken under one executor restores into an instance
-    // built with the other: the snapshot carries the mode, and the
-    // restored run still matches the uninterrupted reference.
-    let (mut reference, ref_src, ref_chan) = build(ExecMode::Sequential, TreePolicy::Lazy);
-    run(&mut reference, 30);
-
-    let (mut original, _, _) = build(ExecMode::Sequential, TreePolicy::Lazy);
-    run(&mut original, 11);
+    let (mut original, _, _) = build(TreePolicy::Lazy);
+    run(&mut original, 20);
     let snap = original.snapshot();
-
-    let (mut restored, src, chan) = build(ExecMode::LevelParallel, TreePolicy::Lazy);
+    let (mut restored, _, chan) = build(TreePolicy::Lazy);
     restored.restore(&snap).unwrap();
-    assert_eq!(restored.executor_mode(), ExecMode::Sequential);
-    run(&mut restored, 19);
+    restored
+        .attach_channel_feature(chan, TreeLog::default())
+        .unwrap();
+    run(&mut restored, 20);
 
-    assert_eq!(
-        observe(&reference, ref_src, ref_chan),
-        observe(&restored, src, chan)
-    );
+    let logs = |mw: &mut Middleware, chan| {
+        mw.with_channel_feature_mut::<TreeLog, Vec<String>>(chan, TreeLog::NAME, |f| f.0.clone())
+            .unwrap()
+    };
+    let a = logs(&mut reference, ref_chan);
+    let b = logs(&mut restored, chan);
+    assert!(!a.is_empty());
+    assert_eq!(a, b, "mid-run attached feature sees identical trees");
 }
 
 #[test]
@@ -227,7 +185,7 @@ fn channel_stats_survive_snapshot_restore() {
     // of the checkpoint contract: a restored instance reports exactly
     // the counters the original had at snapshot time, and continuing it
     // reproduces the uninterrupted run's counters.
-    let (mut original, _, chan) = build(ExecMode::Sequential, TreePolicy::Lazy);
+    let (mut original, _, chan) = build(TreePolicy::Lazy);
     run(&mut original, 17);
     let at_snapshot = original.channel_stats(chan).unwrap();
     assert!(at_snapshot.outputs > 0, "the pipeline produced outputs");
@@ -237,7 +195,7 @@ fn channel_stats_survive_snapshot_restore() {
     );
     let snap = original.snapshot();
 
-    let (mut restored, _, rchan) = build(ExecMode::Sequential, TreePolicy::Lazy);
+    let (mut restored, _, rchan) = build(TreePolicy::Lazy);
     restored.restore(&snap).unwrap();
     assert_eq!(
         restored.channel_stats(rchan).unwrap(),
@@ -245,7 +203,7 @@ fn channel_stats_survive_snapshot_restore() {
         "restore carries the channel counters, not just the buffers"
     );
 
-    let (mut reference, _, ref_chan) = build(ExecMode::Sequential, TreePolicy::Lazy);
+    let (mut reference, _, ref_chan) = build(TreePolicy::Lazy);
     run(&mut reference, 40);
     run(&mut restored, 23);
     assert_eq!(
@@ -261,7 +219,7 @@ fn shard_stats_are_runtime_state_not_snapshot_state() {
     // component counters instead — see above). A rebuilt fleet therefore
     // starts its supervision counters from the build-time baseline:
     // instances owned, one construction checkpoint each, nothing else.
-    let factory = |_: usize| build(ExecMode::Sequential, TreePolicy::Lazy).0;
+    let factory = |_: usize| build(TreePolicy::Lazy).0;
     let config = FleetConfig {
         shards: 2,
         instances: 6,
@@ -300,10 +258,10 @@ fn snapshots_cross_the_arena_boundary_intact() {
     // cannot retroactively corrupt it, and restoring into an instance
     // whose own arena is mid-flight (or disabled) resets cleanly and
     // continues byte-identical to the uninterrupted reference.
-    let (mut reference, ref_src, ref_chan) = build(ExecMode::Sequential, TreePolicy::Lazy);
+    let (mut reference, ref_src, ref_chan) = build(TreePolicy::Lazy);
     run(&mut reference, 40);
 
-    let (mut donor, _, _) = build(ExecMode::Sequential, TreePolicy::Lazy);
+    let (mut donor, _, _) = build(TreePolicy::Lazy);
     run(&mut donor, 17);
     let snap = donor.snapshot();
     // Donor keeps running long past the retire lag: every slot its
@@ -313,7 +271,7 @@ fn snapshots_cross_the_arena_boundary_intact() {
     run(&mut donor, 200);
 
     // Restore into an instance with its own arena traffic in flight.
-    let (mut restored, src, chan) = build(ExecMode::Sequential, TreePolicy::Lazy);
+    let (mut restored, src, chan) = build(TreePolicy::Lazy);
     run(&mut restored, 31);
     restored.restore(&snap).unwrap();
     assert_eq!(restored.steps_run(), 17);
@@ -326,7 +284,7 @@ fn snapshots_cross_the_arena_boundary_intact() {
 
     // And into an instance that interns nothing at all: arena on or off
     // is invisible to the restored trace.
-    let (mut plain, psrc, pchan) = build(ExecMode::Sequential, TreePolicy::Lazy);
+    let (mut plain, psrc, pchan) = build(TreePolicy::Lazy);
     plain.set_arena_enabled(false);
     plain.restore(&snap).unwrap();
     run(&mut plain, 23);
@@ -338,7 +296,7 @@ fn snapshots_cross_the_arena_boundary_intact() {
 
 #[test]
 fn restore_rejects_structural_mismatch() {
-    let (original, _, _) = build(ExecMode::Sequential, TreePolicy::Lazy);
+    let (original, _, _) = build(TreePolicy::Lazy);
     let snap = original.snapshot();
     assert_eq!(snap.version(), SNAPSHOT_VERSION);
     assert_eq!(snap.node_count(), 3);
@@ -354,7 +312,7 @@ fn restore_rejects_structural_mismatch() {
     assert_eq!(other.steps_run(), before);
 
     // And so must the same pipeline with an extra feature attached.
-    let (mut drifted, dsrc, _) = build(ExecMode::Sequential, TreePolicy::Lazy);
+    let (mut drifted, dsrc, _) = build(TreePolicy::Lazy);
     drifted
         .attach_feature(dsrc, perpos::sensors::HdopFeature::new())
         .unwrap();

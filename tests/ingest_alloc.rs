@@ -60,7 +60,8 @@ fn warmed_ingest_allocates_independent_of_batch_size() {
     // Warm-up: fill the arena free list, grow the level rings to their
     // steady depth, and settle every engine-side buffer.
     let warm = batch(20_000);
-    mw.ingest_batch(src, kinds::RAW_STRING, &warm, tick).unwrap();
+    mw.ingest_batch(src, kinds::RAW_STRING, &warm, tick)
+        .unwrap();
 
     // Two measured batches whose sizes differ by 30k lines. Absolute
     // zero is not the claim — a handful of setup allocations per
@@ -71,7 +72,8 @@ fn warmed_ingest_allocates_independent_of_batch_size() {
     let big = batch(40_000);
 
     let before_small = ALLOCS.load(Ordering::Relaxed);
-    mw.ingest_batch(src, kinds::RAW_STRING, &small, tick).unwrap();
+    mw.ingest_batch(src, kinds::RAW_STRING, &small, tick)
+        .unwrap();
     let small_allocs = ALLOCS.load(Ordering::Relaxed) - before_small;
 
     let before_big = ALLOCS.load(Ordering::Relaxed);

@@ -75,7 +75,8 @@ fn build(lines: Arc<Vec<String>>, scripted: bool, faulty: bool) -> (Middleware, 
     mw.connect(upper, tail, 0).unwrap();
     let port = mw.connect_to_sink(tail, app).unwrap();
     let channel = mw.channel_into(app, port).unwrap();
-    mw.attach_channel_feature(channel, TreeLog::default()).unwrap();
+    mw.attach_channel_feature(channel, TreeLog::default())
+        .unwrap();
     mw.subscribe_channel_history(channel, 32).unwrap();
     if faulty {
         mw.attach_feature(
@@ -134,7 +135,9 @@ fn assert_ingest_equals_tick(faulty: bool, arena: bool) {
     let (mut batched, src, batch_chan) = build(Arc::clone(&lines), false, faulty);
     batched.set_arena_enabled(arena);
     let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
-    let ingested = batched.ingest_batch(src, kinds::RAW_STRING, &refs, tick).unwrap();
+    let ingested = batched
+        .ingest_batch(src, kinds::RAW_STRING, &refs, tick)
+        .unwrap();
     assert_eq!(ingested, lines.len() as u64);
 
     let tick_view = observe(&mut ticked, tick_chan);
